@@ -400,6 +400,47 @@ pub(crate) mod test_kernels {
             }
         }
     }
+
+    /// The diverging coupled kernel `x_i ← 2·x_i + x_{i+1}` on a ring of
+    /// scalar blocks, measured with the default max-norm residual. It
+    /// overflows to `∞` within ~650 sweeps; from then on `∞ − ∞` makes every
+    /// residual NaN, which a NaN-dropping norm would read as `0.0`.
+    #[derive(Debug, Clone)]
+    pub struct DivergingCoupled {
+        pub blocks: usize,
+    }
+
+    impl IterativeKernel for DivergingCoupled {
+        fn num_blocks(&self) -> usize {
+            self.blocks
+        }
+
+        fn block_len(&self, _block: usize) -> usize {
+            1
+        }
+
+        fn initial_block(&self, _block: usize) -> Vec<f64> {
+            vec![1.0]
+        }
+
+        fn dependencies(&self, block: usize) -> Vec<usize> {
+            vec![(block + 1) % self.blocks]
+        }
+
+        fn update_block(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+        ) -> BlockUpdate {
+            let y = others.get((block + 1) % self.blocks).map_or(0.0, |v| v[0]);
+            let values = vec![2.0 * local[0] + y];
+            BlockUpdate {
+                residual: self.residual_between(block, &values, local),
+                values,
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -191,6 +191,7 @@ impl std::fmt::Debug for StealDeque {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::splitmix64;
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -314,14 +315,6 @@ mod tests {
             assert!(dq.is_empty());
             assert_eq!(dq.steal(), Steal::Empty);
         }
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 
     use proptest::prelude::*;

@@ -288,6 +288,7 @@ impl Drop for CoalescingMailboxes {
 mod tests {
     use super::*;
     use crate::kernel::test_kernels::RingContraction;
+    use crate::runtime::splitmix64;
     use std::sync::Arc;
 
     fn ring(blocks: usize) -> CoalescingMailboxes {
@@ -396,14 +397,6 @@ mod tests {
         boxes.publish_from(0, 3, &payload(&[0.5; 16]), |_| {});
         boxes.publish_from(1, 2, &payload(&[0.25; 16]), |_| {});
         drop(boxes);
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 
     use proptest::prelude::*;

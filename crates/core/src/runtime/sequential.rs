@@ -12,6 +12,7 @@ use crate::cancel::CancelToken;
 use crate::config::{ExecutionMode, RunConfig};
 use crate::kernel::{IterativeKernel, Payload};
 use crate::report::RunReport;
+use aiac_linalg::norms::nan_max;
 use std::time::Instant;
 
 /// Single-threaded reference executor.
@@ -75,7 +76,7 @@ impl SequentialRuntime {
             worst_residual = 0.0f64;
             for state in blocks.iter_mut() {
                 let r = state.iterate(kernel);
-                worst_residual = worst_residual.max(r);
+                worst_residual = nan_max(worst_residual, r);
             }
             iterations += 1;
             if worst_residual < config.epsilon {
@@ -113,7 +114,7 @@ impl SequentialRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::test_kernels::{Diverging, RingContraction};
+    use crate::kernel::test_kernels::{Diverging, DivergingCoupled, RingContraction};
 
     #[test]
     fn converges_to_the_known_fixed_point() {
@@ -135,6 +136,17 @@ mod tests {
         let report = SequentialRuntime::new().run(&kernel, &config);
         assert!(!report.converged);
         assert_eq!(report.iterations, vec![25, 25]);
+    }
+
+    #[test]
+    fn an_overflowed_iterate_is_not_reported_as_converged() {
+        let kernel = DivergingCoupled { blocks: 2 };
+        let config = RunConfig::synchronous(1e-6).with_max_iterations(2_000);
+        let report = SequentialRuntime::new().run(&kernel, &config);
+        assert!(report.solution.iter().all(|v| v.is_infinite()));
+        assert!(!report.converged, "x <- 2x + y overflowed yet converged");
+        assert!(report.final_residual.is_nan());
+        assert_eq!(report.iterations, vec![2_000, 2_000]);
     }
 
     #[test]

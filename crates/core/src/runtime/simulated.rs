@@ -42,6 +42,7 @@ use crate::placement::{Placement, PlacementPolicy};
 use crate::report::RunReport;
 use aiac_envs::env::{EnvKind, Environment};
 use aiac_envs::threads::{ProblemKind, ReceiveDiscipline, ThreadConfig};
+use aiac_linalg::norms::nan_max;
 use aiac_netsim::host::HostId;
 use aiac_netsim::network::{Network, NetworkStats};
 use aiac_netsim::sched::{HostLoad, HostScheduler};
@@ -312,7 +313,7 @@ impl SimulatedRuntime {
             }
             worst_residual = 0.0;
             for state in states.iter_mut() {
-                worst_residual = worst_residual.max(state.iterate(kernel));
+                worst_residual = nan_max(worst_residual, state.iterate(kernel));
             }
             iterations += 1;
 
@@ -977,7 +978,7 @@ impl ProcSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::test_kernels::{Diverging, RingContraction};
+    use crate::kernel::test_kernels::{Diverging, DivergingCoupled, RingContraction};
     use crate::kernel::{BlockUpdate, DependencyView};
     use crate::runtime::sequential::SequentialRuntime;
     use proptest::prelude::*;
@@ -1085,6 +1086,24 @@ mod tests {
         assert!(!sim.report.converged);
         assert!(!sim.report.premature_stop, "limit stop is not premature");
         assert!(sim.report.iterations.iter().all(|&i| i <= 40));
+    }
+
+    #[test]
+    fn an_overflowed_iterate_is_not_reported_as_converged() {
+        let kernel = DivergingCoupled { blocks: 2 };
+        for config in [
+            RunConfig::synchronous(1e-6).with_max_iterations(2_000),
+            RunConfig::asynchronous(1e-6).with_max_iterations(2_000),
+        ] {
+            let sim =
+                SimulatedRuntime::new(grid(2), EnvKind::MpiMadeleine, ProblemKind::SparseLinear)
+                    .run(&kernel, &config);
+            assert!(
+                !sim.report.converged,
+                "{:?}: x <- 2x + y overflowed yet converged",
+                config.mode
+            );
+        }
     }
 
     #[test]

@@ -58,10 +58,12 @@ use crate::message::Message;
 use crate::report::{RunError, RunReport};
 use crate::runtime::deque::{Steal, StealDeque};
 use crate::runtime::mailbox::{CoalescingMailboxes, MailboxStats};
+use crate::runtime::splitmix64;
 // Atomics come from the sync facade so the bounded model checker can
 // instrument them under `--cfg aiac_check` (enforced by `cargo xtask
 // analyze`).
 use crate::runtime::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use aiac_linalg::norms::nan_max;
 use aiac_obs::{Layer, TraceSnapshot, Tracer, TrackRecorder};
 use crossbeam::channel::{unbounded, Sender};
 use std::collections::VecDeque;
@@ -77,16 +79,6 @@ const SPIN_BASE: u32 = 32;
 /// global-queue interval): demoted and overflow work is guaranteed to
 /// circulate even while the worker's own LIFO top stays productive.
 const FAIRNESS_INTERVAL: u32 = 17;
-
-/// The splitmix64 generator: cheap, seedable, and good enough for victim
-/// selection (the same generator the test-suite uses for pause schedules).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// What a worker tells the coordinator.
 enum CoordEvent {
@@ -1067,7 +1059,7 @@ fn sync_worker(
                 .iter()
                 // ord: SeqCst — convergence scan of the published residuals
                 .map(|r| f64::from_bits(r.load(Ordering::SeqCst)))
-                .fold(0.0f64, f64::max);
+                .fold(0.0f64, nan_max);
             if worst < config.epsilon {
                 // ord: SeqCst — stop broadcast on global convergence
                 stop.store(true, Ordering::SeqCst);
@@ -1122,7 +1114,7 @@ fn finalize_report(
     let mut payload_clones = 0u64;
     let mut bytes_copied = 0u64;
     for outcome in outcomes.into_iter().flatten() {
-        final_residual = final_residual.max(outcome.residual);
+        final_residual = nan_max(final_residual, outcome.residual);
         iterations.push(outcome.iterations);
         payload_clones += outcome.payload_clones;
         bytes_copied += outcome.bytes_copied;
@@ -1156,7 +1148,7 @@ fn finalize_report(
 mod tests {
     use super::*;
     use crate::config::ConfigError;
-    use crate::kernel::test_kernels::{Diverging, RingContraction};
+    use crate::kernel::test_kernels::{Diverging, DivergingCoupled, RingContraction};
     use crate::runtime::sequential::SequentialRuntime;
 
     #[test]
@@ -1258,6 +1250,22 @@ mod tests {
             let report = ThreadedRuntime::new().run(&kernel, &config);
             assert!(!report.converged, "{:?} must not converge", config.mode);
             assert!(report.iterations.iter().all(|&i| i <= 50));
+        }
+    }
+
+    #[test]
+    fn an_overflowed_iterate_is_not_reported_as_converged() {
+        let kernel = DivergingCoupled { blocks: 2 };
+        for config in [
+            RunConfig::synchronous(1e-6).with_max_iterations(2_000),
+            RunConfig::asynchronous(1e-6).with_max_iterations(2_000),
+        ] {
+            let report = ThreadedRuntime::new().run(&kernel, &config);
+            assert!(
+                !report.converged,
+                "{:?}: x <- 2x + y overflowed yet converged",
+                config.mode
+            );
         }
     }
 
