@@ -52,7 +52,8 @@ fn bench_runtime_overhead(c: &mut Criterion) {
             BenchmarkId::new("block_iterate_and_incorporate", blocks),
             &blocks,
             |b, _| {
-                let mut state = BlockState::new(&kernel, 0);
+                let graph = DependencyGraph::from_kernel(&kernel);
+                let mut state = BlockState::initial_states(&kernel, &graph).swap_remove(0);
                 let payload = vec![1.0; 256];
                 b.iter(|| {
                     state.incorporate(1, state.iteration, payload.clone());

@@ -1,11 +1,14 @@
 //! Per-processor block state.
 //!
 //! [`BlockState`] bundles everything one processor tracks while iterating:
-//! its own current values, the freshest version of every dependency block it
-//! has received so far (with the iteration tag it was produced at, i.e. the
-//! `s_j^i(t)` of the asynchronous model in Section 1.2), its iteration
-//! counter and its last residual. Both runtimes use it, which keeps their
-//! iteration logic symmetrical.
+//! its own current values, its [`DependencyView`] — one slot for itself and
+//! one per declared in-neighbour, each holding the freshest version received
+//! so far together with the iteration tag it was produced at (the `s_j^i(t)`
+//! of the asynchronous model in Section 1.2) — its iteration counter and its
+//! last residual. Every runtime uses it, which keeps their iteration logic
+//! symmetrical. The state is O(degree), not O(blocks): a run over `m` blocks
+//! holds `m + edges` view slots in total, all pre-filled by refcount bumps
+//! of the `m` shared initial payloads.
 //!
 //! Since the zero-copy data plane, the current values are a shared
 //! [`Payload`] (`Arc<[f64]>`) and the state is *double-buffered*: the kernel
@@ -15,7 +18,8 @@
 //! reused in place; otherwise a fresh allocation replaces it — either way no
 //! payload bytes are copied on the native in-place path.
 
-use crate::kernel::{DependencyView, IterativeKernel, Payload};
+use crate::depgraph::DependencyGraph;
+use crate::kernel::{initial_payloads, DependencyView, IterativeKernel, Payload};
 use aiac_linalg::norms::max_norm_diff;
 use std::sync::Arc;
 
@@ -27,11 +31,9 @@ pub struct BlockState {
     /// Current local values `X_i^t` (the front buffer). Shared by reference:
     /// publishing or snapshotting this payload bumps a refcount, never copies.
     pub values: Payload,
-    /// Latest received versions of the other blocks.
+    /// Latest received versions of the block itself and of its declared
+    /// dependencies, each with its iteration tag.
     pub view: DependencyView,
-    /// Iteration tag of the latest received version of each block
-    /// (`None` = still the initial values).
-    pub received_iteration: Vec<Option<u64>>,
     /// Number of local iterations performed.
     pub iteration: u64,
     /// Residual of the last local iteration.
@@ -52,25 +54,41 @@ pub struct BlockState {
 }
 
 impl BlockState {
-    /// Initialises the state of block `id` from the kernel's initial values,
-    /// with the dependency view pre-filled with every block's initial values
-    /// (all processors start the first iteration from the same global state).
-    pub fn new(kernel: &dyn IterativeKernel, id: usize) -> Self {
-        assert!(id < kernel.num_blocks(), "block id out of range");
-        let values = kernel.initial_block(id);
+    /// Initialises the state of block `id` of `graph`. Its values and every
+    /// slot of its dependency view start from the shared payloads in
+    /// `initial` (one per block, see [`crate::kernel::initial_payloads`]):
+    /// all processors start the first iteration from the same global state,
+    /// and storing a payload is a refcount bump, not a copy.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a block of `graph` or `initial` does not hold
+    /// one payload per block.
+    pub fn new(graph: &DependencyGraph, initial: &[Payload], id: usize) -> Self {
+        assert!(id < graph.num_blocks(), "block id out of range");
+        let values = Arc::clone(&initial[id]);
         Self {
             id,
-            anchor: values.clone(),
+            // copy: the drift anchor is a private snapshot, taken once per block
+            anchor: values.to_vec(),
             back: vec![0.0; values.len()].into(),
-            values: values.into(),
-            view: DependencyView::from_initial(kernel),
-            received_iteration: vec![None; kernel.num_blocks()],
+            values,
+            view: DependencyView::new(graph, id, initial),
             iteration: 0,
             residual: f64::INFINITY,
             messages_incorporated: 0,
             payload_clones: 0,
             bytes_copied: 0,
         }
+    }
+
+    /// The initial state of every block of `graph`, in block order, sharing
+    /// one initial payload per block: set-up makes `m` payload allocations
+    /// and `m + edges` view slots.
+    pub fn initial_states(kernel: &dyn IterativeKernel, graph: &DependencyGraph) -> Vec<Self> {
+        let initial = initial_payloads(kernel);
+        (0..graph.num_blocks())
+            .map(|b| Self::new(graph, &initial, b))
+            .collect()
     }
 
     /// Total change of the block values since the anchor snapshot was last
@@ -105,16 +123,13 @@ impl BlockState {
     /// mirrors the paper's implementations where the newest received values
     /// overwrite previous ones. Accepts either an owned `Vec<f64>` or an
     /// already-shared [`Payload`]; the latter is stored by reference.
+    ///
+    /// # Panics
+    /// Panics if `from` is not a declared dependency of this block.
     pub fn incorporate(&mut self, from: usize, iteration: u64, values: impl Into<Payload>) -> bool {
-        if let Some(prev) = self.received_iteration[from] {
-            if iteration < prev {
-                return false;
-            }
-        }
-        self.view.set(from, values);
-        self.received_iteration[from] = Some(iteration);
-        self.messages_incorporated += 1;
-        true
+        let stored = self.view.store_newest(from, iteration, values);
+        self.messages_incorporated += u64::from(stored);
+        stored
     }
 
     /// Runs one local iteration through the kernel and stores the result.
@@ -153,9 +168,11 @@ impl BlockState {
 
     /// The delay (in sender iterations) of the stored version of block `from`
     /// relative to `latest`, i.e. how stale the data is. Returns `None` when
-    /// nothing has been received yet.
+    /// nothing has been received yet (or `from` is not a dependency).
     pub fn staleness(&self, from: usize, latest: u64) -> Option<u64> {
-        self.received_iteration[from].map(|tag| latest.saturating_sub(tag))
+        self.view
+            .received_iteration(from)
+            .map(|tag| latest.saturating_sub(tag))
     }
 }
 
@@ -164,10 +181,18 @@ mod tests {
     use super::*;
     use crate::kernel::test_kernels::RingContraction;
 
+    fn states(kernel: &dyn IterativeKernel) -> Vec<BlockState> {
+        BlockState::initial_states(kernel, &DependencyGraph::from_kernel(kernel))
+    }
+
+    fn state(kernel: &dyn IterativeKernel, id: usize) -> BlockState {
+        states(kernel).swap_remove(id)
+    }
+
     #[test]
     fn new_block_starts_from_kernel_initial_values() {
         let kernel = RingContraction::new(3);
-        let st = BlockState::new(&kernel, 1);
+        let st = state(&kernel, 1);
         assert_eq!(&*st.values, &[0.0]);
         assert_eq!(st.iteration, 0);
         assert!(st.view.has(0) && st.view.has(2));
@@ -176,7 +201,7 @@ mod tests {
     #[test]
     fn iterate_updates_values_and_counters() {
         let kernel = RingContraction::new(3);
-        let mut st = BlockState::new(&kernel, 0);
+        let mut st = state(&kernel, 0);
         let r = st.iterate(&kernel);
         assert_eq!(st.iteration, 1);
         assert_eq!(&*st.values, &[1.0]); // 0.2*0 + 0.3*0 + 0.2*0 + 1.0
@@ -187,7 +212,7 @@ mod tests {
     #[test]
     fn incorporate_keeps_newest_version() {
         let kernel = RingContraction::new(3);
-        let mut st = BlockState::new(&kernel, 0);
+        let mut st = state(&kernel, 0);
         assert!(st.incorporate(1, 5, vec![5.0]));
         assert_eq!(st.view.expect(1), &[5.0]);
         // an older message is discarded
@@ -202,7 +227,7 @@ mod tests {
     #[test]
     fn drift_accumulates_across_iterations_until_reset() {
         let kernel = RingContraction::new(2);
-        let mut st = BlockState::new(&kernel, 0);
+        let mut st = state(&kernel, 0);
         assert_eq!(st.drift_from_anchor(), 0.0);
         st.iterate(&kernel); // 0 -> 1.0
         let d1 = st.drift_from_anchor();
@@ -216,18 +241,57 @@ mod tests {
     #[test]
     fn staleness_tracks_received_iteration_tags() {
         let kernel = RingContraction::new(2);
-        let mut st = BlockState::new(&kernel, 0);
+        let mut st = state(&kernel, 0);
         assert_eq!(st.staleness(1, 10), None);
         st.incorporate(1, 7, vec![1.0]);
         assert_eq!(st.staleness(1, 10), Some(3));
         assert_eq!(st.staleness(1, 7), Some(0));
+        // An older message neither lands nor moves the tag.
+        assert!(!st.incorporate(1, 2, vec![2.0]));
+        assert_eq!(st.staleness(1, 10), Some(3));
+    }
+
+    #[test]
+    fn undeclared_blocks_have_no_state() {
+        let kernel = RingContraction::new(5);
+        let st = state(&kernel, 0);
+        assert_eq!(st.view.get(2), None);
+        assert_eq!(st.staleness(2, 10), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a declared dependency")]
+    fn incorporating_an_undeclared_block_panics() {
+        let kernel = RingContraction::new(5);
+        state(&kernel, 0).incorporate(2, 1, vec![1.0]);
+    }
+
+    #[test]
+    fn view_slots_are_linear_in_the_edge_count() {
+        let kernel = RingContraction::new(4096);
+        let graph = DependencyGraph::from_kernel(&kernel);
+        let slots: usize = states(&kernel).iter().map(|s| s.view.num_slots()).sum();
+        assert_eq!(slots, graph.num_edges() + 4096);
+    }
+
+    #[test]
+    fn initial_payloads_are_shared_not_copied() {
+        let kernel = RingContraction::new(6);
+        let graph = DependencyGraph::from_kernel(&kernel);
+        let states = states(&kernel);
+        for st in &states {
+            // The block's front buffer and its own view slot, plus one slot
+            // in each dependant's view; no other copy exists.
+            let dependants = graph.out_neighbours(st.id).len();
+            assert_eq!(Arc::strong_count(&st.values), dependants + 2);
+        }
     }
 
     #[test]
     fn repeated_iterations_converge_with_fresh_neighbour_data() {
         let kernel = RingContraction::new(2);
-        let mut a = BlockState::new(&kernel, 0);
-        let mut b = BlockState::new(&kernel, 1);
+        let mut a = state(&kernel, 0);
+        let mut b = state(&kernel, 1);
         for _ in 0..200 {
             a.iterate(&kernel);
             b.iterate(&kernel);
@@ -249,7 +313,7 @@ mod tests {
         // the double buffer must not count any payload clones — even while a
         // neighbour's view still holds the previous front buffer.
         let kernel = RingContraction::new(2);
-        let mut st = BlockState::new(&kernel, 0);
+        let mut st = state(&kernel, 0);
         let mut leaked: Vec<Payload> = Vec::new();
         for _ in 0..8 {
             leaked.push(st.values.clone()); // keep every front buffer alive

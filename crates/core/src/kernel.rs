@@ -16,6 +16,7 @@
 //! Both benchmark problems of the paper implement this trait in
 //! `aiac-solvers`, and the test-suite adds several synthetic kernels.
 
+use crate::depgraph::DependencyGraph;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -31,72 +32,164 @@ use std::sync::Arc;
 /// [`crate::report::RunReport`].
 pub type Payload = Arc<[f64]>;
 
+/// Every block's initial values `X_i^0`, one shared [`Payload`] per block,
+/// indexed by block id. A run builds these once and hands clones (refcount
+/// bumps) to the block itself and to every dependant's [`DependencyView`],
+/// so set-up allocates `m` payloads, not one per view slot.
+pub fn initial_payloads(kernel: &dyn IterativeKernel) -> Vec<Payload> {
+    (0..kernel.num_blocks())
+        .map(|b| kernel.initial_block(b).into())
+        .collect()
+}
+
 /// The most recent block values a processor has received from the blocks it
-/// depends on (plus, trivially, its own block).
+/// depends on, plus its own block.
 ///
-/// Entries for blocks the processor does not depend on may be absent; the
-/// initial values are used until a first message arrives. The entries are
-/// shared [`Payload`]s: replacing one drops a reference, it does not copy or
-/// free the data other processors may still be reading.
+/// The view is *sparse*: it holds one slot for the block itself and one for
+/// each in-neighbour declared through [`IterativeKernel::dependencies`],
+/// sorted by block id, so a view costs O(degree) regardless of the block
+/// count. Lookups still take a global block id; with the small degrees of
+/// block decompositions a linear scan of the slot ids beats any index.
+/// Every slot starts with that block's initial values ("only the first
+/// iteration begins at the same time on all the processors") and carries the
+/// iteration tag of the version it holds (`None` while it is still the
+/// initial one).
+///
+/// A block that was not declared has no slot: [`DependencyView::get`]
+/// returns `None` for it. The slots hold shared [`Payload`]s: replacing one
+/// drops a reference, it does not copy or free the data other processors
+/// may still be reading.
 #[derive(Debug, Clone)]
 pub struct DependencyView {
-    blocks: Vec<Option<Payload>>,
+    num_blocks: usize,
+    /// Sorted ids of the block itself and its in-neighbours.
+    ids: Vec<usize>,
+    /// `slots[k]` holds the latest version of block `ids[k]`.
+    slots: Vec<Slot>,
+}
+
+/// One block's latest version in a [`DependencyView`].
+#[derive(Debug, Clone)]
+struct Slot {
+    payload: Payload,
+    /// Sender iteration the payload was produced at (`None` = initial).
+    tag: Option<u64>,
 }
 
 impl DependencyView {
-    /// Creates a view over `num_blocks` blocks with no data yet.
-    pub fn new(num_blocks: usize) -> Self {
-        Self {
-            blocks: vec![None; num_blocks],
-        }
-    }
-
-    /// Creates a view pre-filled with every block's initial values — the state
-    /// every processor starts from ("only the first iteration begins at the
-    /// same time on all the processors").
-    pub fn from_initial(kernel: &dyn IterativeKernel) -> Self {
-        let mut view = Self::new(kernel.num_blocks());
-        for b in 0..kernel.num_blocks() {
-            view.set(b, kernel.initial_block(b));
-        }
-        view
-    }
-
-    /// Number of block slots in the view.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Stores the latest values of block `id`. Accepts an existing
-    /// [`Payload`] (stored by reference, zero copy) or a `Vec<f64>`
-    /// (converted into a fresh payload).
-    pub fn set(&mut self, id: usize, values: impl Into<Payload>) {
-        assert!(
-            id < self.blocks.len(),
-            "DependencyView::set: block out of range"
+    /// Creates the view of block `block` over the in-neighbours `graph`
+    /// records for it, each slot pre-filled from `initial` (one shared
+    /// payload per block, indexed by block id; storing it is a refcount
+    /// bump).
+    ///
+    /// # Panics
+    /// Panics if `initial` does not hold one payload per block of `graph`.
+    pub fn new(graph: &DependencyGraph, block: usize, initial: &[Payload]) -> Self {
+        assert_eq!(
+            initial.len(),
+            graph.num_blocks(),
+            "DependencyView::new: one initial payload per block"
         );
-        self.blocks[id] = Some(values.into());
+        let deps = graph.in_neighbours(block);
+        let mut ids = Vec::with_capacity(deps.len() + 1);
+        let split = deps.partition_point(|&d| d < block);
+        ids.extend_from_slice(&deps[..split]);
+        ids.push(block);
+        ids.extend_from_slice(&deps[split..]);
+        let slots = ids
+            .iter()
+            .map(|&id| Slot {
+                payload: Arc::clone(&initial[id]),
+                tag: None,
+            })
+            .collect();
+        Self {
+            num_blocks: graph.num_blocks(),
+            ids,
+            slots,
+        }
     }
 
-    /// The latest values of block `id`, if any version has been stored.
+    /// Number of blocks of the problem (not the number of slots).
+    pub fn num_blocks(&self) -> usize {
+        self.num_blocks
+    }
+
+    /// Number of slots: the block itself plus its in-neighbours.
+    pub fn num_slots(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn slot(&self, id: usize) -> Option<&Slot> {
+        self.ids
+            .iter()
+            .position(|&d| d == id)
+            .map(|k| &self.slots[k])
+    }
+
+    fn slot_mut(&mut self, id: usize) -> &mut Slot {
+        match self.ids.iter().position(|&d| d == id) {
+            Some(k) => &mut self.slots[k],
+            None => panic!("block {id} is not a declared dependency of this view"),
+        }
+    }
+
+    /// Stores the latest values of block `id`, leaving its iteration tag
+    /// unchanged. Accepts an existing [`Payload`] (stored by reference, zero
+    /// copy) or a `Vec<f64>` (converted into a fresh payload).
+    ///
+    /// # Panics
+    /// Panics if `id` has no slot in the view.
+    pub fn set(&mut self, id: usize, values: impl Into<Payload>) {
+        self.slot_mut(id).payload = values.into();
+    }
+
+    /// Stores version `iteration` of block `id` unless the slot already
+    /// holds a newer one (the newest received values overwrite previous
+    /// ones). Returns whether the version was stored.
+    ///
+    /// # Panics
+    /// Panics if `id` has no slot in the view.
+    pub(crate) fn store_newest(
+        &mut self,
+        id: usize,
+        iteration: u64,
+        values: impl Into<Payload>,
+    ) -> bool {
+        let slot = self.slot_mut(id);
+        if slot.tag.is_some_and(|prev| iteration < prev) {
+            return false;
+        }
+        slot.payload = values.into();
+        slot.tag = Some(iteration);
+        true
+    }
+
+    /// Iteration tag of the stored version of block `id`: `None` while it
+    /// is still the initial values, or when the view has no slot for it.
+    pub(crate) fn received_iteration(&self, id: usize) -> Option<u64> {
+        self.slot(id).and_then(|s| s.tag)
+    }
+
+    /// The latest values of block `id`, or `None` when `id` is neither the
+    /// block itself nor one of its declared dependencies.
     pub fn get(&self, id: usize) -> Option<&[f64]> {
-        self.blocks.get(id).and_then(|b| b.as_deref())
+        self.slot(id).map(|s| &*s.payload)
     }
 
     /// The latest values of block `id`.
     ///
     /// # Panics
-    /// Panics if no version of that block is available; kernels should only
-    /// request blocks they declared as dependencies (which the runtimes always
-    /// pre-fill with the initial values).
+    /// Panics if the view has no slot for that block; kernels may only read
+    /// blocks they declared as dependencies (plus their own).
     pub fn expect(&self, id: usize) -> &[f64] {
         self.get(id)
             .unwrap_or_else(|| panic!("no data available for block {id}"))
     }
 
-    /// True when at least one version of block `id` is available.
+    /// True when the view holds a version of block `id`.
     pub fn has(&self, id: usize) -> bool {
-        self.get(id).is_some()
+        self.slot(id).is_some()
     }
 }
 
@@ -137,6 +230,10 @@ pub trait IterativeKernel: Send + Sync {
 
     /// The blocks whose data block `block` needs to compute its update
     /// (in-neighbours of `block` in the dependency graph, excluding itself).
+    ///
+    /// This is a contract: the [`DependencyView`] handed to
+    /// [`IterativeKernel::update_block`] holds exactly these blocks plus
+    /// `block` itself, and returns `None` for any other block.
     fn dependencies(&self, block: usize) -> Vec<usize>;
 
     /// Computes `G_i` for block `block`: one local iteration from the current
@@ -448,30 +545,58 @@ mod tests {
     use super::test_kernels::*;
     use super::*;
 
+    fn view_of(kernel: &dyn IterativeKernel, block: usize) -> DependencyView {
+        let graph = DependencyGraph::from_kernel(kernel);
+        DependencyView::new(&graph, block, &initial_payloads(kernel))
+    }
+
     #[test]
-    fn dependency_view_stores_and_returns_blocks() {
-        let mut view = DependencyView::new(3);
-        assert!(!view.has(1));
-        view.set(1, vec![1.0, 2.0]);
-        assert!(view.has(1));
-        assert_eq!(view.expect(1), &[1.0, 2.0]);
-        assert_eq!(view.get(0), None);
-        assert_eq!(view.num_blocks(), 3);
+    fn view_holds_the_block_and_its_in_neighbours_only() {
+        let kernel = RingContraction::new(5);
+        let view = view_of(&kernel, 0);
+        assert_eq!(view.num_blocks(), 5);
+        assert_eq!(view.num_slots(), 3);
+        for b in [0, 1, 4] {
+            assert_eq!(view.expect(b), &[0.0], "block {b} starts initial");
+            assert_eq!(view.received_iteration(b), None);
+        }
+        // Undeclared blocks are absent, not silently initial.
+        assert!(!view.has(2));
+        assert_eq!(view.get(2), None);
+        assert_eq!(view.get(5), None);
+    }
+
+    #[test]
+    fn set_replaces_the_payload_and_keeps_the_tag() {
+        let kernel = RingContraction::new(5);
+        let mut view = view_of(&kernel, 2);
+        view.set(3, vec![1.0]);
+        assert_eq!(view.expect(3), &[1.0]);
+        assert_eq!(view.received_iteration(3), None);
+    }
+
+    #[test]
+    fn store_newest_rejects_older_versions() {
+        let kernel = RingContraction::new(5);
+        let mut view = view_of(&kernel, 2);
+        assert!(view.store_newest(1, 4, vec![4.0]));
+        assert!(!view.store_newest(1, 3, vec![3.0]));
+        assert_eq!(view.expect(1), &[4.0]);
+        assert!(view.store_newest(1, 4, vec![5.0]));
+        assert_eq!(view.expect(1), &[5.0]);
+        assert_eq!(view.received_iteration(1), Some(4));
     }
 
     #[test]
     #[should_panic(expected = "no data available")]
-    fn expect_panics_on_missing_block() {
-        DependencyView::new(2).expect(0);
+    fn expect_panics_on_an_undeclared_block() {
+        view_of(&RingContraction::new(5), 0).expect(2);
     }
 
     #[test]
-    fn from_initial_prefills_every_block() {
-        let kernel = RingContraction::new(4);
-        let view = DependencyView::from_initial(&kernel);
-        for b in 0..4 {
-            assert_eq!(view.expect(b), &[0.0]);
-        }
+    #[should_panic(expected = "not a declared dependency")]
+    fn set_panics_on_an_undeclared_block() {
+        view_of(&RingContraction::new(5), 0).set(2, vec![1.0]);
     }
 
     #[test]
@@ -486,13 +611,16 @@ mod tests {
     #[test]
     fn ring_contraction_converges_sequentially_to_fixed_point() {
         let kernel = RingContraction::new(4);
-        let mut view = DependencyView::from_initial(&kernel);
+        let graph = DependencyGraph::from_kernel(&kernel);
+        let mut views: Vec<DependencyView> = (0..4).map(|b| view_of(&kernel, b)).collect();
         let mut blocks: Vec<Vec<f64>> = (0..4).map(|b| kernel.initial_block(b)).collect();
         for _ in 0..200 {
-            for (b, block) in blocks.iter_mut().enumerate() {
-                let update = kernel.update_block(b, block, &view);
-                *block = update.values.clone();
-                view.set(b, update.values);
+            for b in 0..4 {
+                let update = kernel.update_block(b, &blocks[b], &views[b]);
+                for &dst in graph.out_neighbours(b) {
+                    views[dst].set(b, update.values.clone());
+                }
+                blocks[b] = update.values;
             }
         }
         let expected = kernel.fixed_point();
@@ -520,7 +648,7 @@ mod tests {
     #[test]
     fn diverging_kernel_grows_without_bound() {
         let kernel = Diverging { blocks: 1 };
-        let view = DependencyView::from_initial(&kernel);
+        let view = view_of(&kernel, 0);
         let mut x = kernel.initial_block(0);
         for _ in 0..10 {
             x = kernel.update_block(0, &x, &view).values;

@@ -29,10 +29,12 @@ pub use sequential::SequentialRuntime;
 pub use simulated::{SimulatedRuntime, SimulationOutcome};
 pub use threaded::ThreadedRuntime;
 
-/// The splitmix64 generator: cheap, seedable, and good enough for victim
-/// selection and for the tests' pause schedules. Advances `state` and
-/// returns the next draw.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// The splitmix64 generator: cheap, seedable, platform-independent, and
+/// good enough for victim selection, load generation and the tests' pause
+/// schedules. Advances `state` and returns the next draw. This is the
+/// workspace's one PRNG step; seeded streams built on it are bit-identical
+/// across platforms and runs.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -10,6 +10,7 @@
 use crate::block::BlockState;
 use crate::cancel::CancelToken;
 use crate::config::{ExecutionMode, RunConfig};
+use crate::depgraph::DependencyGraph;
 use crate::kernel::{IterativeKernel, Payload};
 use crate::report::RunReport;
 use aiac_linalg::norms::nan_max;
@@ -52,7 +53,9 @@ impl SequentialRuntime {
         config.validate();
         let started = Instant::now();
         let m = kernel.num_blocks();
-        let mut blocks: Vec<BlockState> = (0..m).map(|b| BlockState::new(kernel, b)).collect();
+        let graph = DependencyGraph::from_kernel(kernel);
+        let mut blocks = BlockState::initial_states(kernel, &graph);
+        let mut snapshot: Vec<Payload> = Vec::with_capacity(m);
 
         let mut iterations = 0u64;
         let mut converged = false;
@@ -67,12 +70,13 @@ impl SequentialRuntime {
             // Jacobi sweep: every block reads the previous iteration's values,
             // so updates within one sweep do not see each other. The snapshot
             // is a refcount bump per block, not a copy.
-            let snapshot: Vec<Payload> = blocks.iter().map(|b| b.values.clone()).collect();
+            snapshot.extend(blocks.iter().map(|b| b.values.clone()));
             for state in blocks.iter_mut() {
-                for dep in kernel.dependencies(state.id) {
+                for &dep in graph.in_neighbours(state.id) {
                     state.view.set(dep, snapshot[dep].clone());
                 }
             }
+            snapshot.clear();
             worst_residual = 0.0f64;
             for state in blocks.iter_mut() {
                 let r = state.iterate(kernel);

@@ -259,7 +259,8 @@ impl SimulatedRuntime {
         let tracer = Tracer::new(config.tracing);
         let mut recorders = host_recorders(&tracer, &self.topology);
 
-        let mut states: Vec<BlockState> = (0..m).map(|b| BlockState::new(kernel, b)).collect();
+        let mut states = BlockState::initial_states(kernel, &graph);
+        let mut snapshot: Vec<Payload> = Vec::with_capacity(m);
         let mut iteration_start = SimTime::ZERO;
         let mut iterations = 0u64;
         let mut converged = false;
@@ -305,12 +306,13 @@ impl SimulatedRuntime {
             // Numerically, a synchronous iteration is a Jacobi sweep: all blocks
             // read the values of the previous iteration (a refcount bump per
             // block, not a copy).
-            let snapshot: Vec<Payload> = states.iter().map(|s| s.values.clone()).collect();
+            snapshot.extend(states.iter().map(|s| s.values.clone()));
             for state in states.iter_mut() {
-                for dep in graph.in_neighbours(state.id) {
-                    state.view.set(*dep, snapshot[*dep].clone());
+                for &dep in graph.in_neighbours(state.id) {
+                    state.view.set(dep, snapshot[dep].clone());
                 }
             }
+            snapshot.clear();
             worst_residual = 0.0;
             for state in states.iter_mut() {
                 worst_residual = nan_max(worst_residual, state.iterate(kernel));
@@ -501,17 +503,22 @@ impl SimulatedRuntime {
             ReceiveDiscipline::OnDemand { .. } => None,
         };
         let tracer = Tracer::new(config.tracing);
+        let graph = DependencyGraph::from_kernel(kernel);
+        let procs = BlockState::initial_states(kernel, &graph)
+            .into_iter()
+            .map(|state| ProcSim::new(state, &graph, config))
+            .collect();
         let mut engine = AsyncEngine {
             kernel,
             config,
             env: self.env.as_ref(),
             topology: &self.topology,
-            graph: DependencyGraph::from_kernel(kernel),
+            graph,
             thread_cfg,
             placement,
             network: Network::new(self.topology.clone()),
             sim: Simulator::new(),
-            procs: (0..m).map(|b| ProcSim::new(kernel, b, m, config)).collect(),
+            procs,
             detector: GlobalDetector::new(m),
             stats: Stats::default(),
             trace: self.record_trace.then(|| ExecutionTrace::new(m)),
@@ -859,7 +866,7 @@ impl AsyncEngine<'_> {
         let mut sends_issued = 0usize;
         for i in 0..self.graph.out_neighbours(block).len() {
             let dst_block = self.graph.out_neighbours(block)[i];
-            if compute_end < self.procs[block].send_busy_until[dst_block] {
+            if compute_end < self.procs[block].send_busy_until[i] {
                 continue;
             }
             let dst = self.placement.host_of(dst_block);
@@ -885,7 +892,7 @@ impl AsyncEngine<'_> {
                 self.network
                     .transfer(host_id, dst, payload, cost.protocol_bytes, pack_done)
             };
-            self.procs[block].send_busy_until[dst_block] = wire_arrival;
+            self.procs[block].send_busy_until[i] = wire_arrival;
             self.stats.data_messages += 1;
             self.stats.data_bytes += payload;
             sends_issued += 1;
@@ -947,8 +954,9 @@ struct ProcSim {
     busy_until: SimTime,
     /// Time at which the block actually stopped (stop received or limit hit).
     stop_time: SimTime,
-    /// Per-destination completion time of the last transfer, used to skip
-    /// sends while a previous one is still in flight.
+    /// Completion time of the last transfer to each out-neighbour (indexed
+    /// like `DependencyGraph::out_neighbours`), used to skip sends while a
+    /// previous one is still in flight.
     send_busy_until: Vec<SimTime>,
     /// The block's current honest residual: the last real update's residual,
     /// or the cumulative drift when quiet iterations are being skipped.
@@ -956,20 +964,15 @@ struct ProcSim {
 }
 
 impl ProcSim {
-    fn new(
-        kernel: &dyn IterativeKernel,
-        block: usize,
-        num_blocks: usize,
-        config: &RunConfig,
-    ) -> Self {
+    fn new(state: BlockState, graph: &DependencyGraph, config: &RunConfig) -> Self {
         Self {
-            state: BlockState::new(kernel, block),
+            send_busy_until: vec![SimTime::ZERO; graph.out_neighbours(state.id).len()],
+            state,
             local: LocalConvergence::new(config.epsilon, config.convergence_streak),
             stopped: false,
             fresh_since_last: false,
             busy_until: SimTime::ZERO,
             stop_time: SimTime::ZERO,
-            send_busy_until: vec![SimTime::ZERO; num_blocks],
             reported_residual: f64::INFINITY,
         }
     }

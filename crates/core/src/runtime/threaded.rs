@@ -65,8 +65,8 @@ use crate::runtime::splitmix64;
 use crate::runtime::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use aiac_linalg::norms::nan_max;
 use aiac_obs::{Layer, TraceSnapshot, Tracer, TrackRecorder};
-use crossbeam::channel::{unbounded, Sender};
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Barrier, Condvar, Mutex};
 use std::time::Instant;
 
@@ -512,9 +512,14 @@ impl ThreadedRuntime {
         let data_messages = AtomicU64::new(0);
         let data_bytes = AtomicU64::new(0);
         let results: Vec<Mutex<Option<BlockOutcome>>> = (0..m).map(|_| Mutex::new(None)).collect();
+        // Static partition: worker `w` owns blocks `w, w + workers, …`.
+        let mut owned: Vec<Vec<BlockState>> = (0..workers).map(|_| Vec::new()).collect();
+        for state in BlockState::initial_states(kernel, &graph) {
+            owned[state.id % workers].push(state);
+        }
 
-        crossbeam::scope(|scope| {
-            for worker in 0..workers {
+        std::thread::scope(|scope| {
+            for (worker, states) in owned.into_iter().enumerate() {
                 let graph = &graph;
                 let mailboxes = &mailboxes;
                 let barrier = &barrier;
@@ -523,12 +528,12 @@ impl ThreadedRuntime {
                 let data_messages = &data_messages;
                 let data_bytes = &data_bytes;
                 let results = &results;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     sync_worker(
                         kernel,
                         config,
                         worker,
-                        workers,
+                        states,
                         graph,
                         mailboxes,
                         barrier,
@@ -541,8 +546,7 @@ impl ThreadedRuntime {
                     );
                 });
             }
-        })
-        .expect("a synchronous worker thread panicked");
+        });
 
         // ord: SeqCst — read after every worker joined; kept SeqCst so the proof stays trivial
         let converged = stop.load(Ordering::SeqCst);
@@ -586,10 +590,11 @@ impl ThreadedRuntime {
             graph: &graph,
             mailboxes: CoalescingMailboxes::new(&graph),
             sched: WorkPool::new(m, workers, config.steal_policy),
-            tasks: (0..m)
-                .map(|b| {
+            tasks: BlockState::initial_states(kernel, &graph)
+                .into_iter()
+                .map(|state| {
                     Mutex::new(AsyncTask {
-                        state: BlockState::new(kernel, b),
+                        state,
                         local: LocalConvergence::new(config.epsilon, config.convergence_streak),
                         done: false,
                     })
@@ -616,15 +621,15 @@ impl ThreadedRuntime {
             pool.sched.enqueue(block, local);
         }
 
-        let (coord_tx, coord_rx) = unbounded::<CoordEvent>();
+        let (coord_tx, coord_rx) = mpsc::channel::<CoordEvent>();
         let mut detector = GlobalDetector::new(m);
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for worker in 0..workers {
                 let pool = &pool;
                 // copy: channel-handle clone (Sender), not payload data
                 let coord_tx = coord_tx.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _guard = PanicGuard(&pool.sched);
                     match config.steal_policy {
                         StealPolicy::WorkStealing => {
@@ -655,8 +660,7 @@ impl ThreadedRuntime {
                     Err(_) => break,
                 }
             }
-        })
-        .expect("an asynchronous worker thread panicked");
+        });
 
         let stats = pool.mailboxes.stats();
         let sched_counters = pool.sched.counters();
@@ -996,7 +1000,7 @@ fn sync_worker(
     kernel: &dyn IterativeKernel,
     config: &RunConfig,
     worker: usize,
-    workers: usize,
+    mut states: Vec<BlockState>,
     graph: &DependencyGraph,
     mailboxes: &CoalescingMailboxes,
     barrier: &Barrier,
@@ -1008,11 +1012,6 @@ fn sync_worker(
     tracer: &Tracer,
 ) {
     let mut rec = tracer.recorder(Layer::Runtime, format!("worker-{worker}"), worker as u64);
-    let m = kernel.num_blocks();
-    let mut states: Vec<BlockState> = (worker..m)
-        .step_by(workers.max(1))
-        .map(|b| BlockState::new(kernel, b))
-        .collect();
     let max_iter = config.max_iterations as u64;
     let mut iterations = 0u64;
 

@@ -55,6 +55,27 @@ impl ServiceProblem {
         }
     }
 
+    /// Checks the preconditions the problem constructors assert, so a
+    /// malformed spec is refused at admission instead of panicking on a
+    /// worker.
+    ///
+    /// # Errors
+    /// A description of the first violated precondition.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ServiceProblem::Ring { blocks: 0 } | ServiceProblem::SparseLinear { blocks: 0, .. } => {
+                Err("the problem needs at least one block".to_string())
+            }
+            ServiceProblem::SparseLinear { n, blocks } if n < blocks => Err(format!(
+                "{n} rows cannot fill {blocks} blocks (need at least one row per block)"
+            )),
+            ServiceProblem::SparseLinear { n, .. } if n < 2 => {
+                Err(format!("the sparse system needs at least 2 rows, got {n}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The structural fields the cache key hashes: a variant tag plus the
     /// size parameters. Equal fields ⇒ identical kernels.
     pub fn structural_fields(&self) -> [u64; 3] {
@@ -84,6 +105,22 @@ pub struct JobSpec {
     pub epsilon: f64,
     /// Sweep budget (the job completes unconverged when exhausted).
     pub max_sweeps: usize,
+}
+
+impl JobSpec {
+    /// Checks that the job can be solved: its problem's constructor
+    /// preconditions hold and its tolerance and sweep budget form a valid
+    /// run configuration.
+    ///
+    /// # Errors
+    /// [`AdmissionError::InvalidSpec`] naming the first violation.
+    pub fn validate(&self) -> Result<(), AdmissionError> {
+        let config = RunConfig::synchronous(self.epsilon).with_max_iterations(self.max_sweeps);
+        self.problem
+            .validate()
+            .and_then(|()| config.try_validate().map_err(|err| err.to_string()))
+            .map_err(|reason| AdmissionError::InvalidSpec { reason })
+    }
 }
 
 /// One finished (or cancelled) solve, delivered to the submitting side.
@@ -128,6 +165,13 @@ pub enum AdmissionError {
     },
     /// The service is shutting down and accepts no new work.
     Closed,
+    /// The job cannot be solved as specified (see [`JobSpec::validate`]).
+    /// Unlike the other variants this is not backpressure: retrying the
+    /// same spec fails again.
+    InvalidSpec {
+        /// Which precondition the spec breaks.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -140,6 +184,7 @@ impl std::fmt::Display for AdmissionError {
                 write!(f, "service is at its in-flight limit of {limit} jobs")
             }
             AdmissionError::Closed => f.write_str("service is shut down"),
+            AdmissionError::InvalidSpec { reason } => write!(f, "invalid job: {reason}"),
         }
     }
 }
@@ -348,6 +393,59 @@ mod tests {
         assert!(AdmissionError::InFlightLimit { limit: 4096 }
             .to_string()
             .contains("4096"));
+    }
+
+    #[test]
+    fn malformed_specs_are_invalid() {
+        let bad = [
+            ServiceProblem::SparseLinear { n: 2, blocks: 5 },
+            ServiceProblem::SparseLinear { n: 8, blocks: 0 },
+            ServiceProblem::SparseLinear { n: 1, blocks: 1 },
+            ServiceProblem::Ring { blocks: 0 },
+        ];
+        for problem in bad {
+            let spec = JobSpec {
+                problem,
+                ..ring_spec()
+            };
+            let err = spec.validate().unwrap_err();
+            assert!(
+                matches!(err, AdmissionError::InvalidSpec { .. }),
+                "{problem:?}"
+            );
+        }
+        let zero_budget = JobSpec {
+            max_sweeps: 0,
+            ..ring_spec()
+        };
+        assert!(zero_budget.validate().is_err());
+        let bad_epsilon = JobSpec {
+            epsilon: f64::NAN,
+            ..ring_spec()
+        };
+        assert!(bad_epsilon
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .starts_with("invalid job"));
+        assert_eq!(ring_spec().validate(), Ok(()));
+    }
+
+    #[test]
+    fn every_valid_small_spec_builds() {
+        for blocks in 0..6 {
+            for n in 0..8 {
+                let problems = [
+                    ServiceProblem::Ring { blocks },
+                    ServiceProblem::SparseLinear { n, blocks },
+                ];
+                for problem in problems {
+                    if problem.validate().is_ok() {
+                        assert_eq!(problem.build().num_blocks(), blocks, "{problem:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -320,10 +320,13 @@ impl SolverService {
     /// Admits one job, or rejects it with a typed backpressure error.
     ///
     /// # Errors
+    /// [`AdmissionError::InvalidSpec`] for a job that cannot be solved
+    /// (checked before any bound, see [`JobSpec::validate`]),
     /// [`AdmissionError::Closed`] after [`SolverService::close`],
     /// [`AdmissionError::InFlightLimit`] at the global bound, and
     /// [`AdmissionError::TenantQueueFull`] at the tenant's depth.
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, AdmissionError> {
+        spec.validate()?;
         let mut state = self.shared.state.lock().expect("service mutex poisoned");
         if state.shutdown {
             return Err(AdmissionError::Closed);
@@ -490,6 +493,10 @@ pub fn run_real_load_traced(
             Err(AdmissionError::Closed) => {
                 report.rejected += 1;
                 "reject_closed"
+            }
+            Err(AdmissionError::InvalidSpec { .. }) => {
+                report.rejected += 1;
+                "reject_invalid"
             }
         };
         if traced {
@@ -662,6 +669,35 @@ mod tests {
         let err = service.submit(cheap_job(0)).unwrap_err();
         assert_eq!(err, AdmissionError::Closed);
         service.shutdown();
+    }
+
+    #[test]
+    fn a_malformed_job_is_refused_and_the_service_keeps_serving() {
+        // Regression: `SparseLinear { n: 2, blocks: 5 }` used to be admitted
+        // and then panic inside the problem constructor on the only worker,
+        // losing that job and every later one.
+        let config = ServiceConfig {
+            workers: 1,
+            ..small_config()
+        };
+        let mut service = SolverService::start(config);
+        let rx = service.take_results().unwrap();
+        let malformed = JobSpec {
+            problem: ServiceProblem::SparseLinear { n: 2, blocks: 5 },
+            ..cheap_job(0)
+        };
+        let err = service.submit(malformed).unwrap_err();
+        assert!(matches!(err, AdmissionError::InvalidSpec { .. }), "{err}");
+        assert_eq!(service.in_flight(), 0);
+        let ticket = service.submit(cheap_job(0)).unwrap();
+        let result = rx.recv().unwrap();
+        assert_eq!(result.job, ticket.id);
+        assert!(result.converged);
+        // The worker releases the job's slot after delivering the result;
+        // joining the drained pool orders that release before the check.
+        service.close();
+        service.join_workers();
+        assert_eq!(service.in_flight(), 0);
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! same `Vec<Arrival>` on every platform and every run, so CI can gate the
 //! simulated metrics exactly.
 
+use aiac_core::runtime::splitmix64;
 use serde::{Deserialize, Serialize};
 
 use crate::job::{JobSpec, ServiceProblem, TenantId};
 
-/// SplitMix64 — a tiny, seedable, platform-independent PRNG. Good enough
-/// statistical quality for load generation, and trivially reproducible.
+/// SplitMix64 — a tiny, seedable, platform-independent PRNG stepping
+/// [`aiac_core::runtime::splitmix64`]. Good enough statistical quality for
+/// load generation, and trivially reproducible.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -31,11 +33,7 @@ impl SplitMix64 {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform draw in `[0, 1)`.

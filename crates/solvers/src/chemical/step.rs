@@ -471,6 +471,8 @@ impl IterativeKernel for ChemicalStepKernel {
 mod tests {
     use super::*;
     use aiac_core::config::RunConfig;
+    use aiac_core::depgraph::DependencyGraph;
+    use aiac_core::kernel::initial_payloads;
     use aiac_core::runtime::sequential::SequentialRuntime;
 
     fn geometry() -> GridGeometry {
@@ -550,7 +552,8 @@ mod tests {
         );
         assert!(report.iterations[0] < 50, "Newton should converge quickly");
         // The implicit Euler solution must satisfy G(y) ≈ 0.
-        let view = DependencyView::from_initial(&k);
+        let graph = DependencyGraph::from_kernel(&k);
+        let view = DependencyView::new(&graph, 0, &initial_payloads(&k));
         let g = k.local_g(0, &report.solution, &view);
         let scaled_norm = g
             .iter()

@@ -7,6 +7,7 @@ use aiac::core::depgraph::DependencyGraph;
 use aiac::core::kernel::{BlockUpdate, DependencyView, IterativeKernel};
 use aiac::core::runtime::sequential::SequentialRuntime;
 use aiac::core::runtime::simulated::SimulatedRuntime;
+use aiac::core::runtime::splitmix64;
 use aiac::core::runtime::threaded::ThreadedRuntime;
 use aiac::envs::env::EnvKind;
 use aiac::envs::threads::ProblemKind;
@@ -29,17 +30,8 @@ fn random_problem(n: usize, blocks: usize, contraction: f64, seed: u64) -> Spars
     SparseLinearProblem::new(params)
 }
 
-/// splitmix64 — tiny deterministic generator used to derive per-block
-/// contraction weights from a proptest-supplied seed without pulling a rand
-/// dependency into the facade tests.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// Uniform draw in `[0, 1)` from the workspace's splitmix64 step, used to
+/// derive per-block contraction weights from a proptest-supplied seed.
 fn unit_f64(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
