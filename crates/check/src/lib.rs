@@ -1,9 +1,9 @@
 //! `aiac-check` — a bounded model checker for the AIAC lock-free data plane.
 //!
-//! The repo's hot path (`aiac-core`'s coalescing mailboxes and Chase–Lev
-//! work-stealing deque) is correct only if it is correct under *every*
-//! interleaving, not just the ones a stress test happens to sample. This
-//! crate provides a loom-style checker: the code under test is compiled with
+//! The repo's hot path (`aiac-core`'s lock-free coalescing mailboxes) is
+//! correct only if it is correct under *every* interleaving, not just the
+//! ones a stress test happens to sample. This crate provides a loom-style
+//! checker: the code under test is compiled with
 //! `RUSTFLAGS="--cfg aiac_check"` so that its atomics (routed through
 //! `aiac-core`'s `runtime::sync` facade) resolve to the instrumented types in
 //! [`sync::atomic`], and a driver enumerates thread interleavings

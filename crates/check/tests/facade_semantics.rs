@@ -2,19 +2,19 @@
 //! *identically* to `std::sync::atomic` whenever no model-checking context
 //! is installed — even in a binary compiled with `--cfg aiac_check`.
 //!
-//! The sharpest end-to-end probe the repo has for "the scheduler did
-//! exactly what the policy says" is the structural-zero steal-counter
-//! contract: under [`StealPolicy::SharedFifo`] every ready block flows
-//! through the shared injector and the work-stealing machinery is never
-//! touched, so `steals`, `failed_steal_attempts`, `local_pushes`, and
-//! `queue_wait_events` must all be exactly zero — not merely small. Running
-//! that contract here, in the `aiac_check` configuration with the
-//! instrumented facade linked in, proves the fall-through path (no
-//! thread-local explorer context → raw `std` atomics) does not perturb the
-//! real executor: same convergence, same structurally-zero counters.
+//! The probe is an asynchronous run on the threaded pool, whose per-block
+//! queued bits are facade atomics. It must converge to the fixed point, and
+//! its scheduler must report exactly what the design says: every ready
+//! block flows through the one shared run queue, so `steals`,
+//! `failed_steal_attempts` and `local_pushes` must be exactly zero — not
+//! merely small. Running that contract here, in the `aiac_check`
+//! configuration with the instrumented facade linked in, proves the
+//! fall-through path (no thread-local explorer context → raw `std` atomics)
+//! does not perturb the real executor: same convergence, same
+//! structurally-zero counters.
 #![cfg(aiac_check)]
 
-use aiac_core::config::{RunConfig, StealPolicy};
+use aiac_core::config::RunConfig;
 use aiac_core::kernel::{BlockUpdate, DependencyView, IterativeKernel};
 use aiac_core::runtime::ThreadedRuntime;
 
@@ -57,12 +57,11 @@ impl IterativeKernel for RingMean {
 }
 
 #[test]
-fn shared_fifo_counters_stay_structurally_zero_under_the_facade() {
+fn async_pool_counters_stay_structurally_zero_under_the_facade() {
     let kernel = RingMean { blocks: 8 };
     let config = RunConfig::asynchronous(1e-10)
         .with_streak(4)
-        .with_num_workers(3)
-        .with_steal_policy(StealPolicy::SharedFifo);
+        .with_num_workers(3);
     let report = ThreadedRuntime::new().run(&kernel, &config);
     assert!(
         report.converged,
@@ -75,14 +74,10 @@ fn shared_fifo_counters_stay_structurally_zero_under_the_facade() {
             RingMean::FIXED_POINT
         );
     }
-    assert_eq!(report.steals, 0, "SharedFifo must never steal");
+    assert_eq!(report.steals, 0, "the run queue has no deque to steal from");
     assert_eq!(
         report.failed_steal_attempts, 0,
-        "SharedFifo must never probe a deque"
+        "the run queue never probes a deque"
     );
-    assert_eq!(report.local_pushes, 0, "SharedFifo must never push locally");
-    assert_eq!(
-        report.queue_wait_events, 0,
-        "SharedFifo parks via the injector only"
-    );
+    assert_eq!(report.local_pushes, 0, "the run queue never pushes locally");
 }

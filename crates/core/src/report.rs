@@ -90,22 +90,20 @@ pub struct RunReport {
     pub payload_clones: u64,
     /// Payload bytes copied by those fallback iterations (8 bytes per `f64`).
     pub bytes_copied: u64,
-    /// Blocks an idle worker took from another worker's deque (successful
-    /// steals). Non-zero only for the threaded executor's asynchronous
-    /// work-stealing pool; the synchronous mode runs a static partition and
-    /// reports a *structural* 0, as do the shared-FIFO policy and the other
-    /// back-ends.
+    /// Successful steals from another worker's deque. Every back-end
+    /// schedules without deques (the threaded pool runs one shared FIFO
+    /// queue), so this is a *structural* 0, kept so existing consumers of
+    /// the report keep reading a defined value.
     pub steals: u64,
-    /// Steal attempts that found the victim empty or lost the claiming race.
-    /// Same structural-zero rule as [`RunReport::steals`].
+    /// Failed steal attempts. Structurally 0, like [`RunReport::steals`].
     pub failed_steal_attempts: u64,
-    /// Publishes whose ready dependants were pushed onto the publishing
-    /// worker's own deque (the locality bias keeping the fresh payload
-    /// cache-hot). Same structural-zero rule as [`RunReport::steals`].
+    /// Ready dependants pushed onto the publishing worker's own deque.
+    /// Structurally 0, like [`RunReport::steals`].
     pub local_pushes: u64,
-    /// Times a worker exhausted its pop → steal sweep → overflow queue →
-    /// steal-with-backoff sequence and parked on the pool's condition
-    /// variable. Same structural-zero rule as [`RunReport::steals`].
+    /// Times a worker of the threaded executor's asynchronous pool found the
+    /// run queue empty and parked on its condition variable. The
+    /// synchronous mode runs a static partition and reports a *structural*
+    /// 0, as do the other back-ends.
     pub queue_wait_events: u64,
     /// Total virtual seconds that compute phases and message receptions
     /// spent waiting for a free CPU core on their host. Non-zero only for

@@ -16,21 +16,19 @@
 //!   heterogeneous machines behind 10 Mb Ethernet and ADSL links cannot be
 //!   conjured on a development box.
 
-pub mod deque;
 pub mod mailbox;
 pub mod sequential;
 pub mod simulated;
 pub mod sync;
 pub mod threaded;
 
-pub use deque::{PushError, Steal, StealDeque};
 pub use mailbox::{CoalescingMailboxes, MailboxStats};
 pub use sequential::SequentialRuntime;
 pub use simulated::{SimulatedRuntime, SimulationOutcome};
 pub use threaded::ThreadedRuntime;
 
 /// The splitmix64 generator: cheap, seedable, platform-independent, and
-/// good enough for victim selection, load generation and the tests' pause
+/// good enough for load generation and the tests' pause
 /// schedules. Advances `state` and returns the next draw. This is the
 /// workspace's one PRNG step; seeded streams built on it are bit-identical
 /// across platforms and runs.

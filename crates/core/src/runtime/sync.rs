@@ -1,8 +1,8 @@
 //! Atomic-type facade for the lock-free data plane.
 //!
-//! Every atomic in `runtime::mailbox`, `runtime::deque`, and
-//! `runtime::threaded` is imported from here rather than from
-//! `std::sync::atomic` (the `xtask analyze` lint enforces it). Normally the
+//! Every atomic in `runtime::mailbox` and `runtime::threaded` is imported
+//! from here rather than from `std::sync::atomic` (the `xtask analyze` lint
+//! enforces it). Normally the
 //! re-exports below *are* the `std` types — zero cost, same codegen. Built
 //! with `RUSTFLAGS="--cfg aiac_check"`, they switch to `aiac-check`'s
 //! instrumented atomics: identical API, but inside a model execution every
@@ -13,15 +13,13 @@
 //! the runtime still behaves normally under ordinary tests.
 //!
 //! The facade deliberately re-exports only what the data plane uses: the
-//! atomic types, `Ordering`, and `fence`. Widening it is fine — add the
-//! type to `aiac-check::sync::atomic` first so both cfg arms stay in sync.
+//! atomic types and `Ordering`. Widening it is fine — add the type to
+//! `aiac-check::sync::atomic` first so both cfg arms stay in sync.
 
 #[cfg(not(aiac_check))]
-pub use std::sync::atomic::{
-    fence, AtomicBool, AtomicI64, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
-};
+pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(aiac_check)]
 pub use aiac_check::sync::atomic::{
-    fence, AtomicBool, AtomicI64, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
+    AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
 };

@@ -95,36 +95,6 @@ impl TenantQueues {
         Ok(())
     }
 
-    /// Puts a job back at the *front* of its lane, bypassing the depth
-    /// check — used when a popped job cannot be handed to the pool after
-    /// all (injector momentarily full) and must not be lost or reordered.
-    ///
-    /// The pop's DRR accounting is undone in full: the dispatch count and
-    /// the deficit unit it spent are both restored, and if spending that
-    /// unit rotated the tenant's turn to the back of the round, the turn
-    /// comes back to the front — the putback job goes out on the next
-    /// dispatch instead of waiting a whole extra round.
-    pub fn requeue_front(&mut self, job: Pending) {
-        let tenant = job.spec.tenant;
-        let lane = self.tenants.entry(tenant).or_default();
-        // A zero deficit on an in-round lane means the pop spent the
-        // lane's last credit and rotated its turn away.
-        let turn_forfeited = lane.in_round && lane.deficit == 0;
-        lane.pending.push_front(job);
-        lane.dispatched = lane.dispatched.saturating_sub(1);
-        lane.deficit = (lane.deficit + 1).min(self.quantum);
-        self.len += 1;
-        if !lane.in_round {
-            lane.in_round = true;
-            // Front, not back: the tenant still holds an unspent turn.
-            self.active.push_front(tenant);
-        } else if turn_forfeited && self.active.back() == Some(&tenant) {
-            // Undo the quantum-spent rotation so the turn is at the front
-            // again.
-            self.active.rotate_right(1);
-        }
-    }
-
     /// Dispatches the next job under DRR, or `None` when all lanes are
     /// empty. One call pops at most one job; the rotation state persists
     /// across calls.
@@ -243,40 +213,6 @@ mod tests {
             .map(|p| p.spec.tenant)
             .collect();
         assert_eq!(tenants, vec![0, 0, 1, 1, 0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn requeue_front_preserves_order_and_turn() {
-        let mut q = TenantQueues::new(4, 2);
-        q.enqueue(job(0, 0)).unwrap();
-        q.enqueue(job(0, 1)).unwrap();
-        let first = q.dispatch().unwrap();
-        assert_eq!(first.id, 0);
-        q.requeue_front(first);
-        let again = q.dispatch().unwrap();
-        assert_eq!(again.id, 0, "the putback job dispatches first again");
-        assert_eq!(q.dispatch().unwrap().id, 1);
-    }
-
-    #[test]
-    fn requeue_after_a_spent_quantum_restores_the_turn_and_deficit() {
-        // Quantum 1: every pop spends the lane's whole credit and rotates
-        // its turn to the back. A putback must undo that, or the returned
-        // job waits a full extra round behind tenant 1.
-        let mut q = TenantQueues::new(4, 1);
-        q.enqueue(job(0, 0)).unwrap();
-        q.enqueue(job(0, 1)).unwrap();
-        q.enqueue(job(1, 2)).unwrap();
-        let popped = q.dispatch().unwrap();
-        assert_eq!(popped.id, 0);
-        q.requeue_front(popped);
-        assert_eq!(q.dispatch().unwrap().id, 0, "the putback keeps its turn");
-        assert_eq!(q.dispatch().unwrap().id, 2, "then tenant 1 runs as usual");
-        assert_eq!(q.dispatch().unwrap().id, 1);
-        // The net accounting matches a run with no putback at all.
-        let counts = q.dispatched_per_tenant();
-        assert_eq!(counts[&0], 2);
-        assert_eq!(counts[&1], 1);
     }
 
     #[test]

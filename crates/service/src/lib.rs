@@ -8,7 +8,7 @@
 //! ```text
 //!  tenants ──► per-tenant queues ──► admission ──► DRR dispatcher
 //!                                                      │
-//!                        result cache ◄── shared worker pool (StealDeque)
+//!                        result cache ◄── shared worker pool (ready queue)
 //! ```
 //!
 //! The pieces:
@@ -30,9 +30,11 @@
 //! * [`sim`] — a virtual-clock discrete-event execution of the whole
 //!   service, whose latency/throughput/fairness metrics are deterministic
 //!   and therefore gateable in CI;
-//! * [`service`] — the real front end: OS-thread workers stealing job
-//!   tokens from a shared `aiac-core` [`aiac_core::runtime::StealDeque`],
-//!   with per-job cancellation via [`aiac_core::cancel::CancelToken`].
+//! * [`service`] — the real front end: OS-thread workers taking jobs from
+//!   one FIFO ready queue that shares the dispatcher's mutex and condition
+//!   variable (every push and every wait happen under that one lock, so no
+//!   wakeup can be lost), with per-job cancellation via
+//!   [`aiac_core::cancel::CancelToken`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

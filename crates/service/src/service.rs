@@ -1,25 +1,23 @@
-//! The real service: OS-thread workers over the shared steal deque.
+//! The real service: OS-thread workers over one mutex-guarded ready queue.
 //!
-//! [`SolverService::start`] spawns a pool of workers that steal job tokens
-//! from one shared [`StealDeque`] — the same lock-free structure the
-//! threaded data plane uses. Admission and the DRR dispatcher live behind
-//! a single mutex; the deque crossing is the only hand-off between the
-//! dispatcher and the pool. Every job carries a
-//! [`CancelToken`], so callers can abort
-//! queued or running work without tearing the pool down.
+//! [`SolverService::start`] spawns a pool of workers that take jobs from a
+//! FIFO ready queue. Admission, the DRR dispatcher and the ready queue all
+//! live behind a single mutex, and idle workers wait on one condition
+//! variable tied to it. Every push and every wait happen under that mutex,
+//! so no wakeup can be lost. Every job carries a [`CancelToken`], so
+//! callers can abort queued or running work without tearing the pool down.
 //!
 //! Queue paths never panic: admission failures are [`AdmissionError`]
 //! values and result delivery tolerates a dropped receiver (that is the
 //! `xtask analyze` R7 rule, enforced over this file).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use aiac_core::cancel::CancelToken;
-use aiac_core::runtime::{PushError, Steal, StealDeque};
 use aiac_obs::{TraceSnapshot, Tracer, TrackRecorder};
 
 use crate::cache::{job_key, CachedSolve, ResultCache};
@@ -39,7 +37,7 @@ pub struct JobTicket {
     pub cancel: CancelToken,
 }
 
-/// A job that has left the tenant queues and owns (or awaits) a worker.
+/// A job that has left the tenant queues and awaits a worker.
 struct Active {
     pending: Pending,
     cancel: CancelToken,
@@ -48,12 +46,13 @@ struct Active {
 /// Dispatcher state behind the service mutex.
 struct State {
     queues: TenantQueues,
-    /// Jobs handed to the deque or executing, keyed by deque token.
-    slots: HashMap<usize, Active>,
+    /// Jobs the DRR dispatcher released, in dispatch order. Every entry is
+    /// admitted and unfinished, so it never holds more than
+    /// `max_in_flight` jobs.
+    ready: VecDeque<Active>,
     /// Cancel handles of every admitted-but-unfinished job, keyed by id.
     tickets: HashMap<JobId, CancelToken>,
     next_id: JobId,
-    next_token: usize,
     in_flight: u64,
     peak_in_flight: u64,
     completed: u64,
@@ -66,44 +65,42 @@ struct Shared {
     config: ServiceConfig,
     state: Mutex<State>,
     work_ready: Condvar,
-    injector: StealDeque,
     cache: Mutex<ResultCache>,
     started: Instant,
 }
 
 impl Shared {
-    /// Moves queued jobs onto the deque until it fills, the queues drain,
-    /// or the service is paused. Returns how many jobs moved.
+    /// Moves every queued job, in DRR order, onto the ready queue unless the
+    /// service is paused. Returns how many jobs moved.
     fn refill_locked(&self, state: &mut State) -> usize {
         if state.paused {
             return 0;
         }
-        let mut moved = 0;
+        let before = state.ready.len();
         while let Some(pending) = state.queues.dispatch() {
-            let token = state.next_token;
-            state.next_token += 1;
             // The handle was registered at submission; a missing entry is
             // impossible while the job is in flight, but an uncancellable
             // default beats wedging the dispatcher.
             let cancel = state.tickets.get(&pending.id).cloned().unwrap_or_default();
-            state.slots.insert(token, Active { pending, cancel });
-            match self.injector.push(token) {
-                Ok(()) => moved += 1,
-                Err(PushError::Full) => {
-                    // Hand the job back unreordered; a worker will refill
-                    // once the deque drains.
-                    if let Some(put_back) = state.slots.remove(&token) {
-                        state.queues.requeue_front(put_back.pending);
-                    }
-                    break;
-                }
-            }
+            state.ready.push_back(Active { pending, cancel });
         }
-        moved
+        state.ready.len() - before
+    }
+
+    /// Refills the ready queue, releases the lock, and wakes one idle
+    /// worker for a single new job or all of them for several.
+    fn refill_and_wake(&self, mut state: MutexGuard<'_, State>) {
+        let moved = self.refill_locked(&mut state);
+        drop(state);
+        match moved {
+            0 => {}
+            1 => self.work_ready.notify_one(),
+            _ => self.work_ready.notify_all(),
+        }
     }
 }
 
-/// One pool worker: steals tokens, executes jobs, delivers results.
+/// One pool worker: takes ready jobs, executes them, delivers results.
 struct Worker {
     shared: Arc<Shared>,
     results_tx: mpsc::Sender<JobResult>,
@@ -111,50 +108,25 @@ struct Worker {
 
 impl Worker {
     fn run(&self) {
+        let mut state = self.shared.state.lock().expect("service mutex poisoned");
         loop {
-            match self.shared.injector.steal() {
-                Steal::Success(token) => self.execute(token),
-                Steal::Retry => std::thread::yield_now(),
-                Steal::Empty => {
-                    let mut state = self.shared.state.lock().expect("service mutex poisoned");
-                    if self.shared.refill_locked(&mut state) > 0 {
-                        continue;
-                    }
-                    if state.shutdown && state.slots.is_empty() && state.queues.is_empty() {
-                        break;
-                    }
-                    // Between our Steal::Empty and taking the lock, another
-                    // path (submit, resume, a completing worker) may have
-                    // refilled the deque and fired its notification. Every
-                    // push happens under this lock, so re-checking here
-                    // closes the lost-wakeup window: either the token is
-                    // already visible (steal again), or the push will come
-                    // after we release the lock in wait() and its
-                    // notify_all wakes us.
-                    if !self.shared.injector.is_empty() {
-                        continue;
-                    }
-                    // Nothing to do: sleep until a submit, a completion or
-                    // shutdown changes the picture. Spurious wakeups just
-                    // re-enter the steal loop.
-                    let _guard = self
-                        .shared
-                        .work_ready
-                        .wait(state)
-                        .expect("service mutex poisoned");
-                }
+            if let Some(active) = state.ready.pop_front() {
+                drop(state);
+                self.execute(active);
+                state = self.shared.state.lock().expect("service mutex poisoned");
+            } else if state.shutdown && state.queues.is_empty() {
+                return;
+            } else {
+                state = self
+                    .shared
+                    .work_ready
+                    .wait(state)
+                    .expect("service mutex poisoned");
             }
         }
     }
 
-    fn execute(&self, token: usize) {
-        let active = {
-            let mut state = self.shared.state.lock().expect("service mutex poisoned");
-            state.slots.remove(&token)
-        };
-        let Some(Active { pending, cancel }) = active else {
-            return;
-        };
+    fn execute(&self, Active { pending, cancel }: Active) {
         let Pending {
             id,
             spec,
@@ -168,9 +140,7 @@ impl Worker {
         state.tickets.remove(&id);
         state.in_flight -= 1;
         state.completed += 1;
-        self.shared.refill_locked(&mut state);
-        drop(state);
-        self.shared.work_ready.notify_all();
+        self.shared.refill_and_wake(state);
     }
 
     fn solve_job(
@@ -282,10 +252,9 @@ impl SolverService {
             config,
             state: Mutex::new(State {
                 queues: TenantQueues::new(config.tenant_queue_depth, config.drr_quantum),
-                slots: HashMap::new(),
+                ready: VecDeque::new(),
                 tickets: HashMap::new(),
                 next_id: 0,
-                next_token: 0,
                 in_flight: 0,
                 peak_in_flight: 0,
                 completed: 0,
@@ -293,7 +262,6 @@ impl SolverService {
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            injector: StealDeque::new(config.max_in_flight),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             started: Instant::now(),
         });
@@ -348,9 +316,7 @@ impl SolverService {
         state.tickets.insert(id, cancel.clone());
         state.in_flight += 1;
         state.peak_in_flight = state.peak_in_flight.max(state.in_flight);
-        self.shared.refill_locked(&mut state);
-        drop(state);
-        self.shared.work_ready.notify_all();
+        self.shared.refill_and_wake(state);
         Ok(JobTicket { id, cancel })
     }
 
@@ -358,9 +324,7 @@ impl SolverService {
     pub fn resume(&self) {
         let mut state = self.shared.state.lock().expect("service mutex poisoned");
         state.paused = false;
-        self.shared.refill_locked(&mut state);
-        drop(state);
-        self.shared.work_ready.notify_all();
+        self.shared.refill_and_wake(state);
     }
 
     /// Stops admission. Already-queued jobs still drain (pausing is lifted
@@ -372,6 +336,7 @@ impl SolverService {
         state.paused = false;
         self.shared.refill_locked(&mut state);
         drop(state);
+        // Every idle worker must wake to see the shutdown, work or not.
         self.shared.work_ready.notify_all();
     }
 
@@ -424,7 +389,7 @@ impl Drop for SolverService {
 /// The stream is submitted up front against a *paused* service, so the
 /// in-flight peak is a deterministic property of the traffic (and the load
 /// test can assert "more than a thousand concurrent jobs"); dispatch then
-/// resumes and everything drains through the shared deque. Latencies are
+/// resumes and everything drains through the shared ready queue. Latencies are
 /// wall-clock and therefore *not* gateable — the virtual-clock twin in
 /// [`crate::sim`] owns the deterministic metrics.
 pub fn run_real_load(config: &ServiceConfig, traffic: &TrafficSpec) -> LoadReport {
@@ -594,8 +559,8 @@ mod tests {
 
     #[test]
     fn a_single_worker_never_misses_a_wakeup() {
-        // Regression: a worker that saw Steal::Empty could sleep on the
-        // condvar after submit() had already pushed a token and notified,
+        // Regression: a worker that found no work could sleep on the
+        // condvar after submit() had already pushed a job and notified,
         // wedging a one-worker service forever. Each iteration races one
         // submit against the worker going idle.
         let config = ServiceConfig {

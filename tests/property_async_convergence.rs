@@ -2,7 +2,7 @@
 //! problems, the asynchronous runtimes must converge to the same fixed point
 //! as the sequential reference, and the simulator must stay deterministic.
 
-use aiac::core::config::{RunConfig, StealPolicy};
+use aiac::core::config::RunConfig;
 use aiac::core::depgraph::DependencyGraph;
 use aiac::core::kernel::{BlockUpdate, DependencyView, IterativeKernel};
 use aiac::core::runtime::sequential::SequentialRuntime;
@@ -109,9 +109,9 @@ impl IterativeKernel for RandomRing {
 /// the update stalls and for how long. This emulates the paper's
 /// heterogeneous processors — some blocks compute slower in some iterations —
 /// and drives the worker pool through interleavings a uniform-cost kernel
-/// never exercises (stalled owners whose deques must be stolen from, late
-/// publishes racing the convergence detector, parked thieves woken by a
-/// slow block's requeue).
+/// never exercises (a stalled worker holding a block while others drain the
+/// queue, late publishes racing the convergence detector, parked workers
+/// woken by a slow block's requeue).
 struct PausedRing {
     inner: RandomRing,
     schedule_seed: u64,
@@ -240,13 +240,12 @@ proptest! {
         );
     }
 
-    /// Under a seeded pause schedule the stealing pool loses no blocks: every
-    /// block iterates at least once, the run still reaches the sequential
-    /// fixed point, and in-flight data stays O(edges). Exercised with the
-    /// locality bias both on and off, so a biased push can never strand a
-    /// block on a stalled worker's deque.
+    /// Under a seeded pause schedule the asynchronous pool loses no blocks:
+    /// every block iterates at least once, the run still reaches the
+    /// sequential fixed point, and in-flight data stays O(edges) — so a
+    /// stalled worker can never strand a queued block.
     #[test]
-    fn prop_stealing_pool_loses_no_blocks_under_pause_schedules(
+    fn prop_async_pool_loses_no_blocks_under_pause_schedules(
         blocks in 1usize..13,
         workers in 1usize..5,
         seed in 0u64..1_000,
@@ -256,36 +255,26 @@ proptest! {
             .run(&RandomRing::new(blocks, seed), &RunConfig::synchronous(1e-12));
         prop_assert!(reference.converged);
 
-        for locality_bias in [true, false] {
-            let kernel = PausedRing::new(blocks, seed, schedule);
-            let config = RunConfig::asynchronous(1e-10)
-                .with_streak(4)
-                .with_num_workers(workers)
-                .with_steal_policy(StealPolicy::WorkStealing)
-                .with_locality_bias(locality_bias);
-            let report = ThreadedRuntime::new().run(&kernel, &config);
-            prop_assert!(
-                report.converged,
-                "bias {}: {} blocks / {} workers", locality_bias, blocks, workers
-            );
-            prop_assert_eq!(report.iterations.len(), blocks);
-            for (block, &iters) in report.iterations.iter().enumerate() {
-                prop_assert!(
-                    iters > 0,
-                    "block {} never ran (bias {})", block, locality_bias
-                );
-            }
-            for (a, b) in report.solution.iter().zip(&reference.solution) {
-                prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
-            }
-            let edges = DependencyGraph::from_kernel(&kernel).num_edges() as u64;
-            prop_assert!(
-                report.peak_mailbox_occupancy <= edges,
-                "peak occupancy {} exceeded the edge count {}",
-                report.peak_mailbox_occupancy,
-                edges
-            );
+        let kernel = PausedRing::new(blocks, seed, schedule);
+        let config = RunConfig::asynchronous(1e-10)
+            .with_streak(4)
+            .with_num_workers(workers);
+        let report = ThreadedRuntime::new().run(&kernel, &config);
+        prop_assert!(report.converged, "{} blocks / {} workers", blocks, workers);
+        prop_assert_eq!(report.iterations.len(), blocks);
+        for (block, &iters) in report.iterations.iter().enumerate() {
+            prop_assert!(iters > 0, "block {} never ran", block);
         }
+        for (a, b) in report.solution.iter().zip(&reference.solution) {
+            prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
+        }
+        let edges = DependencyGraph::from_kernel(&kernel).num_edges() as u64;
+        prop_assert!(
+            report.peak_mailbox_occupancy <= edges,
+            "peak occupancy {} exceeded the edge count {}",
+            report.peak_mailbox_occupancy,
+            edges
+        );
     }
 
     /// The synchronous mode is a barrier-separated Jacobi sweep, so a pause

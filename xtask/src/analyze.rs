@@ -2,7 +2,7 @@
 //! plane, plus a seeded-mutation self-test.
 //!
 //! The model checker in `crates/check` proves the *dynamic* properties of
-//! the mailbox and deque; this pass pins the *static* discipline those
+//! the mailbox; this pass pins the *static* discipline those
 //! proofs rest on. Each rule is a token-level check (a tiny lexer strips
 //! comments and string literals first, so prose mentioning `unsafe` or
 //! `Ordering::Relaxed` never trips a lint):
@@ -22,7 +22,7 @@
 //!   code never calls `thread::sleep`, and every `spin_loop` carries a
 //!   `// spin:` justification (bounded, with an explained exit condition).
 //! * **R5 `no-silent-copies`** — `.clone()` / `.to_vec()` in the data-plane
-//!   files (`mailbox.rs`, `deque.rs`, `threaded.rs`) require a `// copy:`
+//!   files (`mailbox.rs`, `threaded.rs`) require a `// copy:`
 //!   justification; payloads move by refcount, not memcpy.
 //! * **R6 `atomics-via-facade`** — the data-plane files never name
 //!   `std::sync::atomic` directly; they import through `runtime::sync` so
@@ -40,9 +40,9 @@
 //!   track name passed to `tracer.recorder(...)`, which is not an emit.
 //!
 //! `cargo xtask analyze --self-test` seeds one bug per class into a scratch
-//! copy of the tree — a weakened memory ordering, a dropped reclamation, a
-//! lost-element deque edit, an unjustified copy, a stray `unsafe`, a deleted
-//! annotation, a panicking queue path, an allocating hot-path trace emit —
+//! copy of the tree — a weakened memory ordering, a dropped reclamation, an
+//! unjustified copy, a stray `unsafe`, a deleted annotation, a panicking
+//! queue path, an allocating hot-path trace emit —
 //! and asserts the matching layer (model checker or lint) catches each one,
 //! then restores the copy and asserts it is green again.
 
@@ -59,13 +59,12 @@ const UNSAFE_BLOCK_PIN: usize = 4;
 /// Pinned number of non-test `Ordering::` sites across `crates/core/src`.
 /// Adding or removing an atomic-ordering decision must touch this constant,
 /// making every such change visible in review.
-const ORDERING_SITE_PIN: usize = 73;
+const ORDERING_SITE_PIN: usize = 40;
 
 /// Files whose atomics are the model-checked data plane: silent copies and
 /// direct `std::sync::atomic` imports are forbidden here.
-const DATA_PLANE: [&str; 3] = [
+const DATA_PLANE: [&str; 2] = [
     "crates/core/src/runtime/mailbox.rs",
-    "crates/core/src/runtime/deque.rs",
     "crates/core/src/runtime/threaded.rs",
 ];
 
@@ -727,45 +726,35 @@ fn mutations() -> Vec<Mutation> {
             },
         },
         Mutation {
-            name: "M3 duplicated-element (deque pop keeps the last element it lost)",
-            file: "crates/core/src/runtime/deque.rs",
-            find: ".is_ok();",
-            replace: ".is_ok() || true;",
-            catcher: Catcher::Harness {
-                test_file: "deque_model",
-                filter: "owner_pop_vs_concurrent_steal_is_exactly_once",
-            },
-        },
-        Mutation {
-            name: "M4 unjustified-copy (threaded retirement snapshot loses its `// copy:`)",
+            name: "M3 unjustified-copy (threaded retirement snapshot loses its `// copy:`)",
             file: "crates/core/src/runtime/threaded.rs",
             find: "// copy: retirement snapshot — the block's values leave the runtime exactly once, at finish\n",
             replace: "",
             catcher: Catcher::Lint("R5"),
         },
         Mutation {
-            name: "M5 stray-unsafe (deque grows an unsafe block outside the allowlist)",
-            file: "crates/core/src/runtime/deque.rs",
-            find: "pub fn capacity(&self) -> usize {",
-            replace: "pub fn capacity(&self) -> usize { let _ = unsafe { std::ptr::read(&self.mask) };",
+            name: "M4 stray-unsafe (the run queue grows an unsafe block outside the allowlist)",
+            file: "crates/core/src/runtime/threaded.rs",
+            find: "fn new(num_blocks: usize) -> Self {",
+            replace: "fn new(num_blocks: usize) -> Self { let _ = unsafe { std::ptr::read(&num_blocks) };",
             catcher: Catcher::Lint("R1"),
         },
         Mutation {
-            name: "M6 deleted-annotation (mailbox publish counter loses its `// ord:`)",
+            name: "M5 deleted-annotation (mailbox publish counter loses its `// ord:`)",
             file: MAILBOX,
             find: "// ord: stat counter — publish count is telemetry only\n",
             replace: "",
             catcher: Catcher::Lint("R2"),
         },
         Mutation {
-            name: "M7 panicking-queue-path (service result delivery unwraps the send)",
+            name: "M6 panicking-queue-path (service result delivery unwraps the send)",
             file: "crates/service/src/service.rs",
             find: "let _ = self.results_tx.send(result);",
             replace: "self.results_tx.send(result).unwrap();",
             catcher: Catcher::Lint("R7"),
         },
         Mutation {
-            name: "M8 allocating-trace-emit (publish instant builds its name with format!)",
+            name: "M7 allocating-trace-emit (publish instant builds its name with format!)",
             file: "crates/core/src/runtime/threaded.rs",
             find: "rec.instant(\"publish\", block as u64);",
             replace: "rec.instant(format!(\"publish-{block}\").leak(), block as u64);",
@@ -792,8 +781,8 @@ fn run_self_test(root: &Path) -> Result<(), String> {
         return Err(format!("pristine copy fails lints: {:?}", clean[0]));
     }
     println!("self-test: baseline model-check run (pristine copy must be green)");
-    let both = ["--test", "mailbox_model", "--test", "deque_model"];
-    if !harness_passes(&tree, &shared_target, &both)? {
+    let baseline = ["--test", "mailbox_model"];
+    if !harness_passes(&tree, &shared_target, &baseline)? {
         return Err("pristine copy fails the model-check harnesses".into());
     }
 
@@ -837,7 +826,7 @@ fn run_self_test(root: &Path) -> Result<(), String> {
         return Err(format!("restored copy fails lints: {:?}", clean[0]));
     }
     println!("self-test: restored copy model-check run (must be green again)");
-    if !harness_passes(&tree, &shared_target, &both)? {
+    if !harness_passes(&tree, &shared_target, &baseline)? {
         return Err("restored copy fails the model-check harnesses".into());
     }
     Ok(())
