@@ -123,11 +123,24 @@ impl GlobalDetector {
     /// broadcast the stop signal). Reports received after the decision are
     /// ignored.
     pub fn report(&mut self, block: usize, converged: bool) -> bool {
-        assert!(block < self.states.len(), "unknown block {block}");
-        self.reports_received += 1;
         if self.decided {
+            assert!(block < self.states.len(), "unknown block {block}");
+            self.reports_received += 1;
             return false;
         }
+        let all = self.record(block, converged);
+        self.decided = all;
+        all
+    }
+
+    /// Processes a state report without deciding: returns whether every
+    /// block's latest report now says "converged". A runtime that confirms
+    /// that candidate before stopping (the threaded pool, see
+    /// [`crate::runtime::threaded`]) calls this and then
+    /// [`GlobalDetector::decide`].
+    pub(crate) fn record(&mut self, block: usize, converged: bool) -> bool {
+        assert!(block < self.states.len(), "unknown block {block}");
+        self.reports_received += 1;
         if self.states[block] != converged {
             self.states[block] = converged;
             if converged {
@@ -136,12 +149,12 @@ impl GlobalDetector {
                 self.converged_count -= 1;
             }
         }
-        if self.converged_count == self.states.len() {
-            self.decided = true;
-            true
-        } else {
-            false
-        }
+        self.converged_count == self.states.len()
+    }
+
+    /// Latches global convergence; later reports are ignored.
+    pub(crate) fn decide(&mut self) {
+        self.decided = true;
     }
 
     /// Whether global convergence has been decided.
@@ -288,6 +301,20 @@ mod tests {
         assert!(!det.report(0, false), "decision is final");
         assert!(det.is_decided());
         assert_eq!(det.reports_received(), 2);
+    }
+
+    #[test]
+    fn record_reports_a_candidate_without_deciding() {
+        let mut det = GlobalDetector::new(2);
+        assert!(!det.record(0, true));
+        assert!(det.record(1, true), "every block converged: a candidate");
+        assert!(!det.is_decided());
+        assert!(!det.record(1, false), "a candidate can still be withdrawn");
+        assert!(det.record(1, true));
+        det.decide();
+        assert!(det.is_decided());
+        assert!(!det.report(0, false), "decision is final");
+        assert_eq!(det.reports_received(), 5);
     }
 
     #[test]

@@ -548,7 +548,7 @@ impl SimulatedRuntime {
             .procs
             .iter()
             .map(|p| p.reported_residual)
-            .fold(0.0, f64::max);
+            .fold(0.0, nan_max);
         let decided = engine.detector.is_decided();
         let premature = decided && worst_residual >= config.epsilon;
         let cpu_queue_secs = engine.cpu.total_queue_secs()

@@ -27,11 +27,17 @@
 //!   far any producer runs ahead. This is exactly the AIAC model's semantics
 //!   ("the newest received values overwrite previous ones") enforced at the
 //!   transport layer.
-//! * **Control plane** — unchanged from the paper's centralized halting
-//!   procedure (Section 4.3): workers report local-convergence *state
-//!   changes* over a channel to the coordinator on the main thread, and the
-//!   coordinator broadcasts the stop order (here: a shared flag plus a
-//!   re-enqueue of every block) once every block is locally converged.
+//! * **Control plane** — the paper's centralized halting procedure
+//!   (Section 4.3): workers report local-convergence *state changes* over a
+//!   channel to the coordinator on the main thread, and the coordinator
+//!   broadcasts the stop order (here: a shared flag plus a re-enqueue of
+//!   every block) once every block is locally converged. One confirmation
+//!   round sits in between: when every block reports converged, the
+//!   coordinator wakes every block and stops only after each has completed
+//!   a slice begun after that moment with none deconverging. Without it, a
+//!   block whose last report said converged could still be consuming fresh
+//!   data that moves it, and the run would stop early with that data
+//!   unapplied.
 //!
 //! The two execution modes keep their semantics:
 //!
@@ -70,6 +76,9 @@ use std::time::Instant;
 enum CoordEvent {
     /// A block's local convergence state changed.
     StateChange { block: usize, converged: bool },
+    /// Every block completed a slice begun after confirmation round
+    /// `round` opened.
+    RoundComplete { round: u64 },
     /// A block finished (stop received or iteration limit reached).
     Finished,
 }
@@ -385,12 +394,14 @@ impl ThreadedRuntime {
                     Mutex::new(AsyncTask {
                         state,
                         local: LocalConvergence::new(config.epsilon, config.convergence_streak),
+                        acked: 0,
                         done: false,
                     })
                 })
                 .collect(),
             results: (0..m).map(|_| Mutex::new(None)).collect(),
             stop: AtomicBool::new(false),
+            rounds: AtomicU64::new(0),
             drain: AtomicBool::new(false),
             finished_blocks: AtomicUsize::new(0),
             data_messages: AtomicU64::new(0),
@@ -428,19 +439,44 @@ impl ThreadedRuntime {
 
             // The main thread plays the role of the paper's central node: it
             // gathers state messages and broadcasts the stop order.
+            //
+            // "Every block reports converged" is only a candidate: a block
+            // whose last report said converged may be in the middle of a
+            // slice that consumes fresh data and is about to deconverge it.
+            // So the coordinator opens a confirmation round, wakes every
+            // block, and stops only once each block has completed a slice
+            // begun after the round opened with no block deconverging
+            // meanwhile. Such a slice drains every value published before
+            // the round, and its state report precedes `RoundComplete` on
+            // the channel (see `AsyncPool::confirm`).
             let mut finished = 0usize;
+            let mut round = 0u64;
+            let mut open = false;
             while finished < m {
                 match coord_rx.recv() {
                     Ok(CoordEvent::StateChange { block, converged }) => {
-                        if detector.report(block, converged) {
-                            // ord: SeqCst — stop broadcast to all workers
-                            pool.stop.store(true, Ordering::SeqCst);
-                            // The stop broadcast: wake every parked worker and
-                            // dormant block so each one observes the flag and
-                            // finishes (the paper's halting procedure).
+                        let all = detector.record(block, converged);
+                        if !converged {
+                            open = false;
+                        } else if all && !open && !detector.is_decided() {
+                            round += 1;
+                            open = true;
+                            // ord: SeqCst — round opening, ordered before the queued-bit claims of enqueue_all (pairs with the round read in process())
+                            pool.rounds.store(round << 32, Ordering::SeqCst);
                             pool.sched.enqueue_all();
                         }
                     }
+                    Ok(CoordEvent::RoundComplete { round: done }) if open && done == round => {
+                        open = false;
+                        detector.decide();
+                        // ord: SeqCst — stop broadcast to all workers
+                        pool.stop.store(true, Ordering::SeqCst);
+                        // The stop broadcast: wake every parked worker and
+                        // dormant block so each one observes the flag and
+                        // finishes (the paper's halting procedure).
+                        pool.sched.enqueue_all();
+                    }
+                    Ok(CoordEvent::RoundComplete { .. }) => {}
                     Ok(CoordEvent::Finished) => finished += 1,
                     Err(_) => break,
                 }
@@ -477,6 +513,8 @@ impl ThreadedRuntime {
 struct AsyncTask {
     state: BlockState,
     local: LocalConvergence,
+    /// The last confirmation round this block acknowledged.
+    acked: u64,
     done: bool,
 }
 
@@ -491,6 +529,10 @@ struct AsyncPool<'a> {
     results: Vec<Mutex<Option<BlockOutcome>>>,
     /// Global stop order from the coordinator.
     stop: AtomicBool,
+    /// The coordinator's latest confirmation round (0: none opened yet) in
+    /// the high 32 bits, and how many blocks have confirmed it in the low
+    /// 32 bits.
+    rounds: AtomicU64,
     /// Set when some block exhausts its iteration limit before global
     /// convergence: the stop order may now never come, so converged blocks
     /// must stop parking and run out their own limits (the per-thread
@@ -518,6 +560,10 @@ impl AsyncPool<'_> {
         if task.done {
             return;
         }
+        // Read before the drain: this slice confirms the round only if it
+        // sees everything published before the round opened.
+        // ord: SeqCst — round read after the queued-bit clear in next() (pairs with the round opening)
+        let round = self.rounds.load(Ordering::SeqCst) >> 32;
 
         // Receive whatever has arrived (the newest version per edge, by
         // construction of the coalescing mailboxes).
@@ -533,6 +579,18 @@ impl AsyncPool<'_> {
         // ord: SeqCst — stop gate on the dispatch path
         if self.stop.load(Ordering::SeqCst) || task.state.iteration >= max_iter {
             self.finish(block, &mut task, coord_tx);
+            return;
+        }
+        // A confirmation slice with nothing new to consume cannot change a
+        // converged block's state: confirm the round and stay dormant.
+        if round != task.acked
+            && !fresh_data
+            && task.local.is_converged()
+            // ord: SeqCst — drain flag: a draining block must keep iterating, never park
+            && !self.drain.load(Ordering::SeqCst)
+        {
+            task.acked = round;
+            self.confirm(round, coord_tx);
             return;
         }
 
@@ -605,6 +663,10 @@ impl AsyncPool<'_> {
                 Ordering::Relaxed,
             );
         }
+        if round != task.acked {
+            task.acked = round;
+            self.confirm(round, coord_tx);
+        }
 
         // ord: SeqCst — stop gate re-checked after the iterate
         if self.stop.load(Ordering::SeqCst) || task.state.iteration >= max_iter {
@@ -619,6 +681,34 @@ impl AsyncPool<'_> {
             // ready block.
             if self.sched.claim(block) {
                 woken.push(block);
+            }
+        }
+    }
+
+    /// Counts one block's confirmation of `round`, unless a newer round has
+    /// opened since; the block that completes the count tells the
+    /// coordinator. Every confirming slice sent its state report before its
+    /// increment, and the increments are read-modify-writes of one atomic,
+    /// so all those reports precede `RoundComplete` on the channel.
+    fn confirm(&self, round: u64, coord_tx: &Sender<CoordEvent>) {
+        // ord: SeqCst — confirmation count read, retried by the CAS below
+        let mut word = self.rounds.load(Ordering::SeqCst);
+        while word >> 32 == round {
+            match self.rounds.compare_exchange(
+                word,
+                word + 1,
+                // ord: SeqCst — confirmation count; each increment follows this slice's state report (see above)
+                Ordering::SeqCst,
+                // ord: SeqCst — failed-CAS reload of the round word
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => {
+                    if (word + 1) & u64::from(u32::MAX) == self.tasks.len() as u64 {
+                        let _ = coord_tx.send(CoordEvent::RoundComplete { round });
+                    }
+                    return;
+                }
+                Err(now) => word = now,
             }
         }
     }
@@ -1073,6 +1163,93 @@ mod tests {
             "a cancelled 64-block run must terminate promptly, took {:?}",
             started.elapsed()
         );
+    }
+
+    /// Blocks 0 and 1 iterate `x0 ← x1/2 + 1` and `x1 ← x0/2 + 1` (fixed
+    /// point 2, 2); block 2 is `x2 ← 1` with no dependencies. Two updates
+    /// wait for another block's progress, forcing the interleaving in which
+    /// stopping at the first all-converged report is premature:
+    /// 1. block 1's first update waits for block 0's fifth, so block 0
+    ///    converges on the initial data (one moving and four quiet
+    ///    updates) and reports it;
+    /// 2. block 0's sixth update, which takes block 1's first value, waits
+    ///    for block 1's sixth. Block 1 converges on stale data after its
+    ///    fifth and reports it while block 0, still reported converged,
+    ///    holds a value that will move it by 0.75. A sound stop decision
+    ///    waits for block 0, so block 1 has no sixth update before block 0
+    ///    goes on, and the wait ends at its time bound.
+    struct Handoff {
+        updates: Mutex<[usize; 3]>,
+        progress: Condvar,
+    }
+
+    impl IterativeKernel for Handoff {
+        fn num_blocks(&self) -> usize {
+            3
+        }
+
+        fn block_len(&self, _block: usize) -> usize {
+            1
+        }
+
+        fn initial_block(&self, _block: usize) -> Vec<f64> {
+            vec![0.0]
+        }
+
+        fn dependencies(&self, block: usize) -> Vec<usize> {
+            match block {
+                2 => vec![],
+                b => vec![1 - b],
+            }
+        }
+
+        fn update_block(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &crate::kernel::DependencyView,
+        ) -> crate::kernel::BlockUpdate {
+            let mut updates = self.updates.lock().unwrap();
+            updates[block] += 1;
+            let wait = match (block, updates[block]) {
+                (1, 1) => Some((0, 5)),
+                (0, 6) => Some((1, 6)),
+                _ => None,
+            };
+            self.progress.notify_all();
+            if let Some((other, count)) = wait {
+                let timeout = std::time::Duration::from_millis(250);
+                let _ = self
+                    .progress
+                    .wait_timeout_while(updates, timeout, |u| u[other] < count)
+                    .unwrap();
+            }
+            let x = match block {
+                2 => 1.0,
+                b => others.expect(1 - b)[0] / 2.0 + 1.0,
+            };
+            crate::kernel::BlockUpdate {
+                values: vec![x],
+                residual: (x - local[0]).abs(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_still_taking_fresh_data_holds_back_the_stop() {
+        let kernel = Handoff {
+            updates: Mutex::new([0; 3]),
+            progress: Condvar::new(),
+        };
+        let config = RunConfig::asynchronous(1e-10)
+            .with_streak(4)
+            .with_num_workers(3);
+        let report = ThreadedRuntime::new().run(&kernel, &config);
+        assert!(report.converged);
+        let expected = [2.0, 2.0, 1.0];
+        for (i, (x, e)) in report.solution.iter().zip(expected).enumerate() {
+            assert!((x - e).abs() < 1e-8, "block {i}: {x} instead of {e}");
+        }
     }
 
     #[test]

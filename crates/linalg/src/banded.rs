@@ -11,6 +11,7 @@
 //! `contraction` factor.
 
 use crate::csr::CsrMatrix;
+use crate::norms::nan_max;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -236,131 +237,14 @@ impl ScatteredDiagonalsSpec {
     }
 }
 
-/// A square sparse matrix in diagonal (DIA) storage: one densely packed
-/// value vector per structurally non-empty diagonal.
-///
-/// The paper's matrices put every non-zero on a small set of sub-diagonals,
-/// which CSR cannot exploit: its matvec gathers `x[col_idx[k]]` through an
-/// index vector, defeating SIMD codegen. DIA stores each diagonal
-/// contiguously, so the matvec is a handful of `y[a..b] += d[..] * x[c..d]`
-/// slice loops — unit stride on every operand, exactly what the
-/// autovectoriser wants, with no index traffic at all. The trade-off is that
-/// ragged sparsity would pad diagonals with zeros; use it for matrices that
-/// are genuinely diagonal-structured (the [`BandedSpec`] /
-/// [`ScatteredDiagonalsSpec`] families).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DiaMatrix {
-    /// Matrix dimension.
-    n: usize,
-    /// Sorted distinct diagonal offsets `k = col − row`.
-    offsets: Vec<i64>,
-    /// `diagonals[d][t]` is the `t`-th entry of diagonal `offsets[d]`,
-    /// packed densely: offset `k ≥ 0` holds `A[t, t+k]` for `t < n−k`,
-    /// offset `k < 0` holds `A[t+|k|, t]` for `t < n−|k|`.
-    diagonals: Vec<Vec<f64>>,
-}
-
-impl DiaMatrix {
-    /// Converts a square CSR matrix to diagonal storage. Every structural
-    /// non-zero is preserved; absent positions on a stored diagonal are
-    /// explicit zeros.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square.
-    pub fn from_csr(a: &CsrMatrix) -> Self {
-        assert_eq!(a.nrows(), a.ncols(), "DiaMatrix requires a square matrix");
-        let n = a.nrows();
-        let mut offsets: Vec<i64> = a
-            .triplets()
-            .map(|(i, j, _)| j as i64 - i as i64)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        offsets.sort_unstable();
-        let mut diagonals: Vec<Vec<f64>> = offsets
-            .iter()
-            .map(|&k| vec![0.0; n - k.unsigned_abs() as usize])
-            .collect();
-        for (i, j, v) in a.triplets() {
-            let k = j as i64 - i as i64;
-            let d = offsets.binary_search(&k).expect("offset was collected");
-            let t = i.min(j);
-            diagonals[d][t] = v;
-        }
-        Self {
-            n,
-            offsets,
-            diagonals,
-        }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of stored diagonals.
-    pub fn num_diagonals(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// The stored diagonal offsets, sorted ascending.
-    pub fn offsets(&self) -> &[i64] {
-        &self.offsets
-    }
-
-    /// Matrix-vector product `y = A·x` over the stored diagonals: one
-    /// unit-stride fused multiply-add loop per diagonal.
-    ///
-    /// # Panics
-    /// Panics if `x` or `y` does not have length [`DiaMatrix::dim`].
-    pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.n, "matvec: y length mismatch");
-        y.fill(0.0);
-        for (&k, vals) in self.offsets.iter().zip(&self.diagonals) {
-            let len = vals.len();
-            if k >= 0 {
-                // y[t] += vals[t] * x[t + k]
-                let shift = k as usize;
-                for ((yi, v), xj) in y[..len].iter_mut().zip(vals).zip(&x[shift..]) {
-                    *yi += v * xj;
-                }
-            } else {
-                // y[t + |k|] += vals[t] * x[t]
-                let shift = (-k) as usize;
-                for ((yi, v), xj) in y[shift..].iter_mut().zip(vals).zip(&x[..len]) {
-                    *yi += v * xj;
-                }
-            }
-        }
-    }
-
-    /// Allocating variant of [`DiaMatrix::matvec`].
-    pub fn matvec_alloc(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.n];
-        self.matvec(x, &mut y);
-        y
-    }
-}
-
-impl crate::operator::LinearOperator for DiaMatrix {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.matvec(x, y);
-    }
-}
-
 /// Upper bound on the max-norm of the point-Jacobi iteration matrix
 /// `M⁻¹N` of `a` (with `M = diag(a)`, `N = M − A`): the maximum over rows of
 /// `Σ_{j≠i} |a_ij| / |a_ii|`.
 ///
 /// The spectral radius is bounded by any induced norm, so a value `< 1`
 /// certifies convergence of both the synchronous and the asynchronous Jacobi
-/// iterations (El Tarazi / Bertsekas-Tsitsiklis conditions).
+/// iterations (El Tarazi / Bertsekas-Tsitsiklis conditions). NaN if a row
+/// sum is NaN, so a matrix holding NaN never reads as contractive.
 pub fn jacobi_contraction_bound(a: &CsrMatrix) -> f64 {
     let mut worst: f64 = 0.0;
     for i in 0..a.nrows() {
@@ -376,7 +260,7 @@ pub fn jacobi_contraction_bound(a: &CsrMatrix) -> f64 {
         if diag == 0.0 {
             return f64::INFINITY;
         }
-        worst = worst.max(off / diag);
+        worst = nan_max(worst, off / diag);
     }
     worst
 }
@@ -455,6 +339,16 @@ mod tests {
     }
 
     #[test]
+    fn contraction_bound_propagates_nan() {
+        let a = CsrMatrix::from_triplets(
+            2,
+            2,
+            vec![(0, 0, 4.0), (0, 1, f64::NAN), (1, 0, 1.0), (1, 1, 4.0)],
+        );
+        assert!(jacobi_contraction_bound(&a).is_nan());
+    }
+
+    #[test]
     fn contraction_bound_is_infinite_for_zero_diagonal() {
         let a = CsrMatrix::from_triplets(2, 2, vec![(0, 1, 1.0), (1, 0, 1.0)]);
         assert!(jacobi_contraction_bound(&a).is_infinite());
@@ -525,76 +419,7 @@ mod tests {
         assert_eq!(spec.generate(), spec.generate());
     }
 
-    #[test]
-    fn dia_conversion_keeps_shape_and_diagonal_count() {
-        let spec = BandedSpec {
-            n: 40,
-            bandwidth: 3,
-            contraction: 0.8,
-            seed: 11,
-        };
-        let dia = DiaMatrix::from_csr(&spec.generate());
-        assert_eq!(dia.dim(), 40);
-        // a full band of width 3 stores 2·3 + 1 diagonals
-        assert_eq!(dia.num_diagonals(), 7);
-        assert_eq!(dia.offsets(), &[-3, -2, -1, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn dia_matvec_of_the_identity_is_exact() {
-        let dia = DiaMatrix::from_csr(&CsrMatrix::identity(5));
-        let x = vec![1.0, -2.0, 3.5, 0.0, 7.0];
-        assert_eq!(dia.matvec_alloc(&x), x);
-    }
-
-    #[test]
-    fn dia_matvec_matches_hand_computed_band_product() {
-        // [ 2 1 0 ]        x = [1, 2, 3]
-        // [-1 2 1 ]   =>   y = [4, 6, 4]
-        // [ 0 -1 2 ]
-        let a = CsrMatrix::from_triplets(
-            3,
-            3,
-            vec![
-                (0, 0, 2.0),
-                (0, 1, 1.0),
-                (1, 0, -1.0),
-                (1, 1, 2.0),
-                (1, 2, 1.0),
-                (2, 1, -1.0),
-                (2, 2, 2.0),
-            ],
-        );
-        let dia = DiaMatrix::from_csr(&a);
-        assert_eq!(dia.matvec_alloc(&[1.0, 2.0, 3.0]), vec![4.0, 6.0, 4.0]);
-    }
-
     proptest! {
-        /// DIA and CSR agree on the generated banded and scattered-diagonal
-        /// families. Tolerance-based, not exact: the unrolled CSR row dot
-        /// reorders within-row sums, while DIA accumulates per diagonal.
-        #[test]
-        fn prop_dia_matvec_matches_csr_spmv(
-            n in 2usize..120,
-            bw in 1usize..12,
-            seed in 0u64..200,
-        ) {
-            use rand::{Rng, SeedableRng};
-            let spec = BandedSpec { n, bandwidth: bw, contraction: 0.85, seed };
-            let a = spec.generate();
-            let dia = DiaMatrix::from_csr(&a);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1A);
-            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let csr_y = a.spmv_alloc(&x);
-            let dia_y = dia.matvec_alloc(&x);
-            for i in 0..n {
-                prop_assert!(
-                    (csr_y[i] - dia_y[i]).abs() <= 1e-12 * (1.0 + csr_y[i].abs()),
-                    "row {}: csr {} vs dia {}", i, csr_y[i], dia_y[i]
-                );
-            }
-        }
-
         /// Every generated matrix honours its contraction bound, for any
         /// size / bandwidth / target combination.
         #[test]

@@ -140,6 +140,11 @@ impl CsrMatrix {
         }
     }
 
+    /// Number of stored entries in row `i`.
+    pub(crate) fn row_nnz(&self, i: usize) -> usize {
+        self.row_ptr[i + 1] - self.row_ptr[i]
+    }
+
     /// Iterator over the stored entries of row `i` as `(col, value)` pairs.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let lo = self.row_ptr[i];

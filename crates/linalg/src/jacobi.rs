@@ -3,9 +3,19 @@
 //! The paper's sparse-linear solver iterates
 //! `x_{k+1} = x_k + γ·M⁻¹·(b − A·x_k)` where `M` is the block-diagonal matrix
 //! extracted from `A` according to the processor decomposition (Section 4.1).
-//! [`BlockJacobi`] pre-factorises every diagonal block with dense LU so the
-//! application of `M⁻¹` inside the iteration is a cheap pair of triangular
-//! solves per block.
+//! [`BlockJacobi`] pre-factorises every diagonal block once with LU and
+//! partial pivoting, so the application of `M⁻¹` inside the iteration is a
+//! pair of triangular solves per block.
+//!
+//! The factors are stored over their non-zeros only ([`LuFactors`]), so one
+//! block solve costs O(nnz(L + U) + len), not O(len²). The paper's matrices
+//! give the diagonal blocks no fill-in: L + U keep exactly the block's
+//! off-diagonal entries (at n = 3000 in 12 blocks, 102 per 250-row block of
+//! the scattered matrix, against 62 250 dense off-diagonal positions).
+//! Elimination skips
+//! the update of any row whose multiplier is exactly zero, and the solve
+//! leaves out only `0.0 · x_j` products, so for finite inputs the result
+//! equals, component for component, that of a dense triangular solve.
 
 use crate::csr::CsrMatrix;
 use crate::decomp::Partition;
@@ -58,11 +68,7 @@ impl BlockJacobi {
         assert_eq!(x.len(), self.partition.len(), "apply: x length mismatch");
         assert_eq!(y.len(), self.partition.len(), "apply: y length mismatch");
         for (b, range) in self.partition.iter() {
-            if range.is_empty() {
-                continue;
-            }
-            let local = self.factors[b].solve(&x[range.clone()]);
-            y[range].copy_from_slice(&local);
+            self.factors[b].solve_into(&x[range.clone()], &mut y[range]);
         }
     }
 
@@ -70,6 +76,18 @@ impl BlockJacobi {
     /// is a block-local slice. This is what each processor of the AIAC solver
     /// calls on its own residual block.
     pub fn apply_block(&self, block: usize, x_local: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; x_local.len()];
+        self.apply_block_into(block, x_local, &mut y);
+        y
+    }
+
+    /// [`BlockJacobi::apply_block`] into a caller-provided `y_local`,
+    /// allocating nothing.
+    ///
+    /// # Panics
+    /// Panics if `block` is out of range or either slice does not have the
+    /// block's length.
+    pub fn apply_block_into(&self, block: usize, x_local: &[f64], y_local: &mut [f64]) {
         assert!(
             block < self.factors.len(),
             "apply_block: block out of range"
@@ -79,10 +97,12 @@ impl BlockJacobi {
             self.partition.size(block),
             "apply_block: local length mismatch"
         );
-        if x_local.is_empty() {
-            return Vec::new();
-        }
-        self.factors[block].solve(x_local)
+        self.factors[block].solve_into(x_local, y_local);
+    }
+
+    /// The stored factors of diagonal block `block`.
+    pub fn block_factors(&self, block: usize) -> &LuFactors {
+        &self.factors[block]
     }
 
     /// The partition this preconditioner was built for.
@@ -149,6 +169,42 @@ mod tests {
         for (b, range) in p.iter() {
             let local = m.apply_block(b, &x[range.clone()]);
             assert!(max_norm_diff(&local, &full[range]) < 1e-14);
+        }
+    }
+
+    /// Every diagonal block of the two matrices that
+    /// `SparseLinearParams::paper_scaled(3000, 12)` generates (30
+    /// sub-diagonals, contraction 0.9, seed 42, 12 balanced blocks), in both
+    /// shapes: the sparse block solve equals the dense reference solve
+    /// component for component on random right-hand sides.
+    #[test]
+    fn paper_block_solves_equal_the_dense_reference() {
+        use crate::banded::ScatteredDiagonalsSpec;
+        use crate::dense::reference::DenseLu;
+        use rand::{Rng, SeedableRng};
+        let matrices = [
+            ScatteredDiagonalsSpec::paper(3000, 42).generate(),
+            BandedSpec::paper(3000, 42).generate(),
+        ];
+        let p = Partition::balanced(3000, 12);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for a in &matrices {
+            let m = BlockJacobi::new(a, &p).unwrap();
+            for (b, range) in p.iter() {
+                let mut dense = DenseMatrix::zeros(range.len(), range.len());
+                for (i, j, v) in a.diagonal_block(range.clone()).triplets() {
+                    dense[(i, j)] = v;
+                }
+                let reference = DenseLu::new(&dense).unwrap();
+                for _ in 0..3 {
+                    let rhs: Vec<f64> = range.clone().map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let expected = reference.solve(&rhs);
+                    let got = m.apply_block(b, &rhs);
+                    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                        assert!(g == e, "block {b}, row {i}: sparse {g} vs dense {e}");
+                    }
+                }
+            }
         }
     }
 

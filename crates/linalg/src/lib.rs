@@ -11,8 +11,9 @@
 //! * a generator of banded matrices with a controlled Jacobi spectral radius,
 //!   matching the paper's "sparse matrix designed to have a spectral radius
 //!   less than one" ([`banded`]);
-//! * small dense matrices with LU factorisation, used for block-diagonal
-//!   inverses and the Newton corrections ([`dense`]);
+//! * small dense matrices with LU factorisation, whose factors are stored
+//!   over their non-zeros, used for the block-diagonal solves and the Newton
+//!   corrections ([`dense`]);
 //! * a restarted GMRES solver, the sequential inner solver of the
 //!   multi-splitting Newton method ([`gmres`]);
 //! * block-Jacobi preconditioning utilities ([`jacobi`]);

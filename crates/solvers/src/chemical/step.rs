@@ -16,6 +16,7 @@ use aiac_core::kernel::{BlockUpdate, DependencyView, InPlaceUpdate, IterativeKer
 use aiac_linalg::csr::CsrMatrix;
 use aiac_linalg::decomp::Partition;
 use aiac_linalg::gmres::{Gmres, GmresParams};
+use aiac_linalg::norms::nan_max;
 
 /// Geometry of the discretised domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -422,7 +423,7 @@ impl IterativeKernel for ChemicalStepKernel {
             } else {
                 model::C2_SCALE
             };
-            residual = residual.max(d.abs() / scale);
+            residual = nan_max(residual, d.abs() / scale);
         }
         InPlaceUpdate {
             residual,
@@ -457,7 +458,7 @@ impl IterativeKernel for ChemicalStepKernel {
             } else {
                 model::C2_SCALE
             };
-            worst = worst.max((x - y).abs() / scale);
+            worst = nan_max(worst, (x - y).abs() / scale);
         }
         worst
     }

@@ -22,7 +22,7 @@ use aiac_linalg::banded::{BandedSpec, ScatteredDiagonalsSpec};
 use aiac_linalg::csr::CsrMatrix;
 use aiac_linalg::decomp::Partition;
 use aiac_linalg::jacobi::BlockJacobi;
-use aiac_linalg::norms::max_norm_diff;
+use aiac_linalg::norms::{max_norm_diff, nan_max};
 use serde::{Deserialize, Serialize};
 
 /// Shape of the generated test matrix.
@@ -176,7 +176,9 @@ impl SparseLinearProblem {
                 let spmv = 2.0 * blk.nnz() as f64;
                 let jacobi_cost = {
                     let len = partition.size(b) as f64;
-                    // dense forward/backward substitution on the diagonal block
+                    // forward/backward substitution over the block's LU
+                    // factors, which have no fill-in here: the charged cost
+                    // is the one `LuFactors::solve_into` executes
                     let block_nnz = a.diagonal_block(partition.range(b)).nnz() as f64;
                     2.0 * block_nnz + 4.0 * len
                 };
@@ -228,12 +230,10 @@ impl SparseLinearProblem {
         max_norm_diff(x, &self.x_exact)
     }
 
-    /// Max-norm of the linear residual `b − A·x` of a candidate solution.
+    /// Max-norm of the linear residual `b − A·x` of a candidate solution;
+    /// NaN if any component is NaN.
     pub fn linear_residual(&self, x: &[f64]) -> f64 {
-        let ax = self.a.spmv_alloc(x);
-        ax.iter()
-            .zip(&self.b)
-            .fold(0.0_f64, |acc, (axi, bi)| acc.max((bi - axi).abs()))
+        max_norm_diff(&self.b, &self.a.spmv_alloc(x))
     }
 
     /// Builds the full-length vector of unknowns a block needs for its local
@@ -294,14 +294,14 @@ impl IterativeKernel for SparseLinearProblem {
         // fused into one pass (same accumulation order as spmv + subtract)
         let mut r = vec![0.0; local.len()];
         self.row_blocks[block].residual(&self.b[range], &x, &mut r);
-        // correction = γ · M_i⁻¹ · r
-        let correction = self.jacobi.apply_block(block, &r);
-        // new iterate straight into the caller's back buffer, folding the
-        // update residual max into the same pass
+        // correction M_i⁻¹ · r, solved straight into the caller's back buffer
+        self.jacobi.apply_block_into(block, &r, out);
+        // new iterate x + γ · correction in place, folding the update
+        // residual max into the same pass
         let mut residual = 0.0f64;
-        for ((oi, xi), ci) in out.iter_mut().zip(local).zip(&correction) {
-            let new = xi + self.params.gamma * ci;
-            residual = residual.max((new - xi).abs());
+        for (oi, xi) in out.iter_mut().zip(local) {
+            let new = xi + self.params.gamma * *oi;
+            residual = nan_max(residual, (new - xi).abs());
             *oi = new;
         }
         InPlaceUpdate {
@@ -479,6 +479,46 @@ mod tests {
             (0.4..2.5).contains(&ratio_bytes),
             "byte ratio {ratio_bytes}"
         );
+    }
+
+    #[test]
+    fn a_nan_dependency_value_gives_a_nan_update_residual() {
+        use aiac_core::depgraph::DependencyGraph;
+        use aiac_core::kernel::initial_payloads;
+        let p = small(MatrixShape::ScatteredDiagonals);
+        let graph = DependencyGraph::from_kernel(&p);
+        let mut view = DependencyView::new(&graph, 0, &initial_payloads(&p));
+        let dep = p.dependencies(0)[0];
+        let mut poisoned = p.initial_block(dep);
+        poisoned.fill(f64::NAN);
+        view.set(dep, poisoned);
+        let local = p.initial_block(0);
+        let mut out = vec![0.0; local.len()];
+        let update = p.update_block_into(0, &local, &view, &mut out);
+        assert!(update.residual.is_nan(), "residual {}", update.residual);
+        assert!(p.update_block(0, &local, &view).residual.is_nan());
+        assert!(p.linear_residual(&vec![f64::NAN; 240]).is_nan());
+    }
+
+    #[test]
+    fn paper_block_factors_have_no_fill_in() {
+        // L + U store exactly the off-diagonal entries of each diagonal
+        // block, so a block solve costs O(nnz), as `iteration_flops` charges
+        for (shape, per_block) in [
+            (MatrixShape::ScatteredDiagonals, 102),
+            (MatrixShape::ContiguousBand, 14_070),
+        ] {
+            let mut params = SparseLinearParams::paper_scaled(3000, 12);
+            params.shape = shape;
+            let p = SparseLinearProblem::new(params);
+            let jacobi = BlockJacobi::new(p.matrix(), p.partition()).unwrap();
+            for (b, range) in p.partition().iter() {
+                let block_nnz = p.matrix().diagonal_block(range.clone()).nnz();
+                let stored = jacobi.block_factors(b).off_diagonal_nnz();
+                assert_eq!(stored, block_nnz - range.len(), "{shape:?} block {b}");
+                assert_eq!(stored, per_block, "{shape:?} block {b}");
+            }
+        }
     }
 
     #[test]

@@ -38,11 +38,17 @@
 //!   `String::from`, `.to_owned()`): event names are `&'static str` by
 //!   construction, and the only tolerated allocation is the once-per-worker
 //!   track name passed to `tracer.recorder(...)`, which is not an emit.
+//! * **R9 `nan-propagating-max`** — non-test code in `crates/core/src`,
+//!   `crates/linalg/src` and `crates/solvers/src` never names `f64::max` or
+//!   `f64::min`: both return the other operand when one is NaN, so a
+//!   residual fold built on them reads a diverged block as converged. Use
+//!   `aiac_linalg::norms::nan_max` (or a norm built on it).
 //!
 //! `cargo xtask analyze --self-test` seeds one bug per class into a scratch
 //! copy of the tree — a weakened memory ordering, a dropped reclamation, an
 //! unjustified copy, a stray `unsafe`, a deleted annotation, a panicking
-//! queue path, an allocating hot-path trace emit —
+//! queue path, an allocating hot-path trace emit, a NaN-dropping residual
+//! fold —
 //! and asserts the matching layer (model checker or lint) catches each one,
 //! then restores the copy and asserts it is green again.
 
@@ -59,7 +65,7 @@ const UNSAFE_BLOCK_PIN: usize = 4;
 /// Pinned number of non-test `Ordering::` sites across `crates/core/src`.
 /// Adding or removing an atomic-ordering decision must touch this constant,
 /// making every such change visible in review.
-const ORDERING_SITE_PIN: usize = 40;
+const ORDERING_SITE_PIN: usize = 46;
 
 /// Files whose atomics are the model-checked data plane: silent copies and
 /// direct `std::sync::atomic` imports are forbidden here.
@@ -71,6 +77,8 @@ const DATA_PLANE: [&str; 2] = [
 const MAILBOX: &str = "crates/core/src/runtime/mailbox.rs";
 const CORE_SRC: &str = "crates/core/src";
 const SERVICE_SRC: &str = "crates/service/src";
+/// The numeric crates whose residual folds R9 checks.
+const NUMERIC_SRC: [&str; 3] = [CORE_SRC, "crates/linalg/src", "crates/solvers/src"];
 
 pub fn run(args: &[String]) -> i32 {
     let mut self_test = false;
@@ -409,6 +417,16 @@ fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
         service_views.insert(rel, view);
     }
     rule_no_unwrap_on_queue_paths(&service_views, &mut violations);
+
+    // Likewise for the numeric crates: R9 alone reads linalg and solvers.
+    let mut numeric_views = BTreeMap::new();
+    for dir in NUMERIC_SRC {
+        for rel in rust_files(root, dir)? {
+            let view = FileView::load(root, &rel)?;
+            numeric_views.insert(rel, view);
+        }
+    }
+    rule_nan_propagating_max(&numeric_views, &mut violations);
     Ok(violations)
 }
 
@@ -679,6 +697,33 @@ fn rule_no_unwrap_on_queue_paths(views: &BTreeMap<String, FileView>, out: &mut V
     }
 }
 
+/// R9: residual folds in the numeric crates propagate NaN. `f64::max` and
+/// `f64::min` return the non-NaN operand, so a fold over them reports a
+/// diverged block as converged; `norms::nan_max` returns NaN instead and is
+/// bit-identical on finite input.
+fn rule_nan_propagating_max(views: &BTreeMap<String, FileView>, out: &mut Vec<Violation>) {
+    for (rel, view) in views {
+        for (i, line) in view.code.iter().enumerate() {
+            if view.is_test(i) {
+                continue;
+            }
+            for token in ["f64::max", "f64::min"] {
+                if !token_sites(line, token).is_empty() {
+                    out.push(Violation {
+                        file: rel.clone(),
+                        line: i + 1,
+                        rule: "R9",
+                        msg: format!(
+                            "`{token}` drops NaN (use `aiac_linalg::norms::nan_max` so a \
+                             diverged value stays visible)"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Mutation self-test
 // ---------------------------------------------------------------------------
@@ -759,6 +804,13 @@ fn mutations() -> Vec<Mutation> {
             find: "rec.instant(\"publish\", block as u64);",
             replace: "rec.instant(format!(\"publish-{block}\").leak(), block as u64);",
             catcher: Catcher::Lint("R8"),
+        },
+        Mutation {
+            name: "M8 nan-dropping-fold (simulated honesty check folds with f64::max)",
+            file: "crates/core/src/runtime/simulated.rs",
+            find: ".map(|p| p.reported_residual)\n            .fold(0.0, nan_max);",
+            replace: ".map(|p| p.reported_residual)\n            .fold(0.0, f64::max);",
+            catcher: Catcher::Lint("R9"),
         },
     ]
 }
@@ -913,6 +965,29 @@ mod tests {
         let masked = mask_code(src);
         assert!(!masked.contains("Ordering"), "{masked}");
         assert!(masked.contains("fn f<'a>"));
+    }
+
+    #[test]
+    fn r9_flags_f64_max_and_min_outside_tests_only() {
+        let src = "fn f(v: &[f64]) -> f64 {\n    v.iter().copied().fold(0.0, f64::max)\n}\n\
+                   fn g(a: f64) -> f64 { f64::min(a, 1.0) + f64::MAX }\n\
+                   // f64::max in a comment\n\
+                   #[cfg(test)]\nmod tests { fn h() { let _ = [1.0].iter().copied().fold(0.0, f64::max); } }\n";
+        let masked = mask_code(src);
+        let raw: Vec<String> = src.lines().map(str::to_owned).collect();
+        let view = FileView {
+            test_start: raw
+                .iter()
+                .position(|l| l.starts_with("#[cfg(test)]"))
+                .unwrap(),
+            code: masked.lines().map(str::to_owned).collect(),
+            raw,
+        };
+        let views = BTreeMap::from([("x.rs".to_owned(), view)]);
+        let mut found = Vec::new();
+        rule_nan_propagating_max(&views, &mut found);
+        let lines: Vec<usize> = found.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![2, 4], "{found:#?}");
     }
 
     #[test]
